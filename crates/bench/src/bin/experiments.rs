@@ -447,10 +447,17 @@ fn parse_scale(args: &mut Vec<String>) -> Option<workloads::Scale> {
     })
 }
 
-/// Resolves the `--config` name for the trace subcommands (the same
-/// registry the sweep service validates against).
-fn config_by_name(name: &str) -> Option<sim::SystemConfig> {
-    sim::SystemConfig::by_name(name)
+/// Resolves the `--config` flag (default: radix) against the same
+/// registry the sweep service validates against.
+fn parse_config(args: &mut Vec<String>) -> sim::SystemConfig {
+    flag_value(args, "--config")
+        .map(|v| {
+            sim::SystemConfig::by_name(&v).unwrap_or_else(|| {
+                eprintln!("unknown config {v:?} (pick {})", sim::config::CONFIG_KEYS.join(", "));
+                std::process::exit(2);
+            })
+        })
+        .unwrap_or_else(sim::SystemConfig::radix)
 }
 
 /// `experiments trace <record|replay|info> …` — see `usage()`.
@@ -459,14 +466,7 @@ fn trace_cli(mut args: Vec<String>) -> i32 {
         usage();
     }
     let sub = args.remove(0);
-    let cfg = flag_value(&mut args, "--config")
-        .map(|v| {
-            config_by_name(&v).unwrap_or_else(|| {
-                eprintln!("unknown config {v:?} (pick radix, victima, victima+stlb or pom)");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or_else(sim::SystemConfig::radix);
+    let cfg = parse_config(&mut args);
     let format = flag_value(&mut args, "--format")
         .map(|v| {
             Format::parse(&v).unwrap_or_else(|| {
@@ -570,14 +570,7 @@ fn ckpt_cli(mut args: Vec<String>) -> i32 {
 
     match sub.as_str() {
         "save" => {
-            let cfg = flag_value(&mut args, "--config")
-                .map(|v| {
-                    config_by_name(&v).unwrap_or_else(|| {
-                        eprintln!("unknown config {v:?} (pick radix, victima, victima+stlb or pom)");
-                        std::process::exit(2);
-                    })
-                })
-                .unwrap_or_else(sim::SystemConfig::radix);
+            let cfg = parse_config(&mut args);
             let scale = parse_scale(&mut args).unwrap_or(workloads::Scale::Tiny);
             let seed = flag_value(&mut args, "--seed")
                 .map(|v| {

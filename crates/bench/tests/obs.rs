@@ -1,5 +1,5 @@
 //! Observability determinism gate: enabling the full observability
-//! layer (hot-path metrics + phase-span tracing) must not move a single
+//! layer (`sim.*` metrics + phase-span tracing) must not move a single
 //! byte of any `--check` artifact, at any worker count.
 //!
 //! The committed baselines are the reference: they were generated with

@@ -15,14 +15,16 @@
 //!
 //! # Determinism contract
 //!
-//! Nothing in this crate may feed a `RunSpec` fingerprint, a `SimStats`
-//! field, or a `--check` artifact. Metrics mirror simulation events (and
-//! are therefore deterministic), but span timings are wall-clock and
-//! exist only in side channels: profile artifacts, the daemon log, and
-//! the `metrics` protocol response. The simulator enforces this by
-//! keeping the whole layer behind `Option` handles that default to
-//! `None` — disabled means not one instruction of overhead on the hot
-//! path beyond the `Option` check.
+//! Nothing recorded through this crate — a registry update or a span —
+//! may feed a `RunSpec` fingerprint, a `SimStats` field, or a `--check`
+//! artifact. Metrics mirror simulation events (and are therefore
+//! deterministic), but span timings are wall-clock and exist only in
+//! side channels: profile artifacts, the daemon log, and the `metrics`
+//! protocol response. The simulator keeps no metric state at all: its
+//! `sim.*` metrics are projected from a finished run's statistics
+//! (`sim::obs`; `SimStats` keeps its own distributions in the plain
+//! [`HistSnapshot`] type), and its span tracer sits behind an `Option`
+//! that defaults to `None`.
 //!
 //! # Examples
 //!
@@ -43,5 +45,5 @@
 pub mod metrics;
 pub mod span;
 
-pub use metrics::{merge_snapshots, HistSnapshot, LocalBuf, MetricId, MetricValue, Registry, HIST_BUCKETS};
+pub use metrics::{merge_snapshots, HistSnapshot, MetricId, MetricValue, Registry, HIST_BUCKETS};
 pub use span::{aggregate, PhaseAgg, SpanEvent, Tracer};

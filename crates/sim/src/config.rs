@@ -90,8 +90,19 @@ pub struct SystemConfig {
     pub seed: u64,
 }
 
-/// CLI keys accepted by [`SystemConfig::by_name`], in display order.
-pub const CONFIG_KEYS: [&str; 4] = ["radix", "victima", "victima+stlb", "pom"];
+/// CLI keys accepted by [`SystemConfig::by_name`], in display order:
+/// the native configs, then the virtualised ones.
+pub const CONFIG_KEYS: [&str; 9] = [
+    "radix",
+    "victima",
+    "victima+stlb",
+    "pom",
+    "victima-agnostic-srrip",
+    "np",
+    "pom-virt",
+    "i-sp",
+    "victima-virt",
+];
 
 impl SystemConfig {
     /// Resolves a CLI config key ([`CONFIG_KEYS`]) to its configuration —
@@ -103,6 +114,11 @@ impl SystemConfig {
             "victima" => Self::victima(),
             "victima+stlb" => Self::victima_plus_stlb(),
             "pom" => Self::pom_tlb(),
+            "victima-agnostic-srrip" => Self::victima_agnostic_srrip(),
+            "np" => Self::nested_paging(),
+            "pom-virt" => Self::pom_tlb_virt(),
+            "i-sp" => Self::ideal_shadow_paging(),
+            "victima-virt" => Self::victima_virt(),
             _ => return None,
         })
     }
@@ -222,7 +238,8 @@ mod tests {
     #[test]
     fn config_keys_all_resolve() {
         for key in CONFIG_KEYS {
-            assert!(SystemConfig::by_name(key).is_some(), "{key} must resolve");
+            let cfg = SystemConfig::by_name(key).unwrap_or_else(|| panic!("{key} must resolve"));
+            assert_eq!(key, cfg.name.to_lowercase().replace("pom-tlb", "pom"), "keys spell the display name");
         }
         assert_eq!(SystemConfig::by_name("radix").unwrap().name, "Radix");
         assert_eq!(SystemConfig::by_name("pom").unwrap().name, "POM-TLB");

@@ -225,8 +225,8 @@ pub struct RunResult {
     /// Wall-clock payload: never folded into [`SimStats`] or `--check`
     /// artifacts.
     pub spans: Vec<SpanEvent>,
-    /// Metric-registry snapshot when metrics were enabled (`None`
-    /// otherwise). Deterministic: mirrors simulation events only.
+    /// The `sim.*` metric set when metrics were enabled (`None`
+    /// otherwise): a projection of `stats` ([`crate::obs::metrics_of`]).
     pub metrics: Option<Vec<(String, MetricValue)>>,
 }
 
@@ -298,10 +298,10 @@ impl SimEngine {
     }
 
     /// [`SimEngine::run_one_reusing`] with an explicit observability
-    /// mode. Enablement is post-construction system state (like the
-    /// record hook), so the spec fingerprint and the statistics are
-    /// untouched in every mode; metrics and spans come back on the
-    /// result as side channels.
+    /// mode. Tracing is post-construction system state (like the record
+    /// hook) and metrics are projected from the finished statistics, so
+    /// the spec fingerprint and the statistics are untouched in every
+    /// mode; metrics and spans come back on the result as side channels.
     pub fn run_one_observed(
         index: usize,
         spec: &RunSpec,
@@ -318,9 +318,6 @@ impl SimEngine {
         sys.hier.set_prefetch_scratch(std::mem::take(&mut scratch.prefetch));
         if spec.collect_features {
             sys.enable_feature_tracking();
-        }
-        if obs.metrics_enabled() {
-            sys.enable_metrics();
         }
         if obs.tracing_enabled() {
             sys.enable_tracing();
@@ -341,7 +338,7 @@ impl SimEngine {
             wall: start.elapsed(),
             features: sys.tracker.take(),
             spans: sys.take_tracer().map(|mut t| t.take()).unwrap_or_default(),
-            metrics: sys.take_metrics().map(|m| m.snapshot()),
+            metrics: obs.metrics_enabled().then(|| crate::obs::metrics_of(&sys)),
         }
     }
 

@@ -51,7 +51,7 @@ pub use config::{ExecMode, SystemConfig, TimingConfig, TranslationMechanism};
 pub use engine::{suite_specs, RunResult, RunScratch, RunSpec, SimEngine, ENGINE_ID};
 pub use epochs::EpochTracker;
 pub use multicore::{slot_seed, MultiCoreStats, MultiCoreSystem, ProcSummary};
-pub use obs::{ObsMode, SimMetrics};
+pub use obs::ObsMode;
 pub use runner::Runner;
 pub use sampling::SamplingConfig;
 pub use scheduler::{CtxSwitchPolicy, SchedConfig, SchedMode, Scheduler};

@@ -1,23 +1,20 @@
-//! Simulator-side observability: the hot-path metric set and the
-//! engine's enablement knob.
+//! Simulator-side observability: the engine's enablement knob and the
+//! `sim.*` metric set.
 //!
-//! [`SimMetrics`] registers one [`obs::Registry`] entry per hot-path
-//! flow — TLB/cache/PWC hits and misses, walk depths and latencies,
-//! prefetch fills, frame-pool pressure — and hands the `Copy` metric ids
-//! to [`crate::system::System`]'s instrumentation sites. The whole
-//! struct lives behind an `Option` on the system (the same pattern as
-//! the trace record hook and the feature tracker), so a disabled run
-//! pays exactly one `Option` discriminant test per site and allocates
-//! nothing (`crates/sim/tests/obs_overhead.rs` pins this). Enabled
-//! recording goes through an [`obs::LocalBuf`] — the system owns its
-//! metric set exclusively, so the hot path pays a plain `Cell` add,
-//! not an atomic RMW; deltas drain into the shared registry when a
-//! snapshot is taken.
+//! The simulator keeps no metric state of its own. [`metrics_of`]
+//! projects a finished [`System`] onto the `sim.*` names: each counter
+//! and histogram is a [`SimStats`] field — TLB/PWC/Victima/POM counts
+//! and walk depths recorded on the miss path, per-level cache and
+//! prefetcher counts copied from the components by
+//! [`System::finalize_stats`] — so a metric cannot disagree with the
+//! statistic it names. Only the frame-pool gauges are read elsewhere
+//! (the allocator's levels at projection time).
 //!
-//! Metrics mirror deterministic simulation events and *span the whole
-//! execution* (warm-up included) — they are diagnostics, not results.
-//! [`crate::stats::SimStats`] remains the sole source of `--check`
-//! truth; nothing here feeds a fingerprint or a baseline artifact.
+//! Metrics therefore cover exactly the windows `SimStats` covers: the
+//! measured run, or the sum of a sampled run's detailed windows —
+//! never warm-up. They are diagnostics, not results: `SimStats`
+//! remains the sole source of `--check` truth, and nothing here feeds
+//! a fingerprint or a baseline artifact.
 //!
 //! # Metric naming
 //!
@@ -26,16 +23,17 @@
 //! (`sim.ptw.depth` observes per-walk memory accesses). The daemon's
 //! registry uses the `svc.` root; see DESIGN.md "Observability".
 
-use obs::{HistSnapshot, LocalBuf, MetricId, MetricValue, Registry};
-use std::sync::Arc;
+use crate::stats::SimStats;
+use crate::system::System;
+use obs::MetricValue;
 
 /// Whether (and how much of) the observability layer a run enables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ObsMode {
-    /// No metrics, no tracing: the instrumentation handles stay `None`.
+    /// No metrics, no tracing.
     #[default]
     Off,
-    /// Hot-path metrics only (the throughput-bench configuration).
+    /// The `sim.*` metric set only (the throughput-bench configuration).
     Metrics,
     /// Metrics plus phase-span tracing.
     Full,
@@ -53,7 +51,7 @@ impl ObsMode {
         }
     }
 
-    /// Whether hot-path metrics are collected.
+    /// Whether the `sim.*` metric set is collected.
     pub fn metrics_enabled(self) -> bool {
         self != ObsMode::Off
     }
@@ -64,166 +62,83 @@ impl ObsMode {
     }
 }
 
-/// The simulator's registered metric set plus its backing registry.
-/// Boxed behind `Option` on [`crate::system::System`].
-#[derive(Debug)]
-pub struct SimMetrics {
-    reg: Arc<Registry>,
-    /// Single-writer buffer the hot path records into: plain `Cell`
-    /// adds instead of atomic RMWs (each system owns its metric set
-    /// exclusively), drained into `reg` whenever a snapshot is taken.
-    buf: LocalBuf,
-    /// L1 D-TLB hits (either page-size TLB).
-    pub(crate) l1_tlb_hit: MetricId,
-    /// L1 D-TLB misses.
-    pub(crate) l1_tlb_miss: MetricId,
-    /// Unified L2 TLB hits.
-    pub(crate) l2_tlb_hit: MetricId,
-    /// Unified L2 TLB misses.
-    pub(crate) l2_tlb_miss: MetricId,
-    /// I-TLB misses (instruction side).
-    pub(crate) itlb_miss: MetricId,
-    /// Hardware L3 TLB hits (Fig. 8 design point).
-    pub(crate) l3_tlb_hit: MetricId,
-    /// Victima L2-cache TLB-block probe hits.
-    pub(crate) victima_hit: MetricId,
-    /// Victima TLB-block insertions (walk- and eviction-flow).
-    pub(crate) victima_insert: MetricId,
-    /// Victima background (eviction-flow) walks.
-    pub(crate) victima_bg_walk: MetricId,
-    /// POM-TLB lookup hits.
-    pub(crate) pom_hit: MetricId,
-    /// POM-TLB lookup misses.
-    pub(crate) pom_miss: MetricId,
-    /// Demand page-table walks.
-    pub(crate) ptw: MetricId,
-    /// Walks largely served by the page-walk caches.
-    pub(crate) pwc_hit: MetricId,
-    /// Walks that had to touch the full radix depth.
-    pub(crate) pwc_miss: MetricId,
-    /// Histogram: memory accesses per demand walk (walk depth).
-    pub(crate) walk_depth: MetricId,
-    /// Histogram: demand-walk latency in cycles.
-    pub(crate) walk_latency: MetricId,
-    /// Histogram: total L2-TLB-miss resolution latency in cycles.
-    pub(crate) l2_miss_latency: MetricId,
-    /// L1D / L2 / L3 demand hits and misses (finalize-time snapshot).
-    pub(crate) cache_hit: [MetricId; 3],
-    /// Per-level demand misses.
-    pub(crate) cache_miss: [MetricId; 3],
-    /// Prefetcher outcomes: lines filled by the prefetchers, per level
-    /// (a fill that is later hit shows up in the level's demand hits).
-    pub(crate) prefetch_fill: [MetricId; 3],
-    /// Gauge: physical frames in use at finalize time.
-    pub(crate) frames_used: MetricId,
-    /// Gauge: physical frames still free at finalize time.
-    pub(crate) frames_free: MetricId,
-}
+/// Cache levels in metric-name order — the index order of
+/// [`SimStats::cache_hits`] and its siblings.
+const CACHE_LEVELS: [&str; 3] = ["l1d", "l2", "l3"];
 
-impl SimMetrics {
-    /// Builds a fresh registry with every simulator metric registered.
-    pub fn install() -> Box<Self> {
-        let mut reg = Registry::new();
-        let m = |reg: &mut Registry, name: &str| reg.counter(name);
-        Box::new(Self {
-            l1_tlb_hit: m(&mut reg, "sim.tlb.l1.hit"),
-            l1_tlb_miss: m(&mut reg, "sim.tlb.l1.miss"),
-            l2_tlb_hit: m(&mut reg, "sim.tlb.l2.hit"),
-            l2_tlb_miss: m(&mut reg, "sim.tlb.l2.miss"),
-            itlb_miss: m(&mut reg, "sim.tlb.itlb.miss"),
-            l3_tlb_hit: m(&mut reg, "sim.tlb.l3.hit"),
-            victima_hit: m(&mut reg, "sim.victima.hit"),
-            victima_insert: m(&mut reg, "sim.victima.insert"),
-            victima_bg_walk: m(&mut reg, "sim.victima.bg_walk"),
-            pom_hit: m(&mut reg, "sim.pom.hit"),
-            pom_miss: m(&mut reg, "sim.pom.miss"),
-            ptw: m(&mut reg, "sim.ptw.walks"),
-            pwc_hit: m(&mut reg, "sim.pwc.hit"),
-            pwc_miss: m(&mut reg, "sim.pwc.miss"),
-            walk_depth: reg.histogram("sim.ptw.depth"),
-            walk_latency: reg.histogram("sim.ptw.latency"),
-            l2_miss_latency: reg.histogram("sim.tlb.l2_miss_latency"),
-            cache_hit: [
-                m(&mut reg, "sim.cache.l1d.hit"),
-                m(&mut reg, "sim.cache.l2.hit"),
-                m(&mut reg, "sim.cache.l3.hit"),
-            ],
-            cache_miss: [
-                m(&mut reg, "sim.cache.l1d.miss"),
-                m(&mut reg, "sim.cache.l2.miss"),
-                m(&mut reg, "sim.cache.l3.miss"),
-            ],
-            prefetch_fill: [
-                m(&mut reg, "sim.prefetch.l1d.fill"),
-                m(&mut reg, "sim.prefetch.l2.fill"),
-                m(&mut reg, "sim.prefetch.l3.fill"),
-            ],
-            frames_used: reg.gauge("sim.frames.used"),
-            frames_free: reg.gauge("sim.frames.free"),
-            buf: reg.local_buf(),
-            reg: Arc::new(reg),
-        })
+/// The `sim.*` metric set of a finished run: every counter and
+/// histogram read off `sys.stats` (finalized, or a sampled aggregate),
+/// plus the frame-pool gauges read off the allocator. The order is
+/// fixed, so merged snapshots list names the same way on every run.
+pub fn metrics_of(sys: &System) -> Vec<(String, MetricValue)> {
+    let s: &SimStats = &sys.stats;
+    let counters = [
+        ("sim.tlb.l1.hit", s.l1_tlb_hits),
+        ("sim.tlb.l1.miss", s.l1_tlb_misses),
+        ("sim.tlb.l2.hit", s.l2_tlb_hits),
+        ("sim.tlb.l2.miss", s.l2_tlb_misses),
+        ("sim.tlb.itlb.miss", s.itlb_misses),
+        ("sim.tlb.l3.hit", s.l3_tlb_hits),
+        ("sim.victima.hit", s.victima_hits),
+        ("sim.victima.insert", s.victima_inserts),
+        ("sim.victima.bg_walk", s.victima_background_walks),
+        ("sim.pom.hit", s.pom_hits),
+        ("sim.pom.miss", s.pom_misses),
+        ("sim.ptw.walks", s.ptws),
+        ("sim.pwc.hit", s.pwc_walk_hits),
+        ("sim.pwc.miss", s.ptws - s.pwc_walk_hits),
+    ];
+    let mut m: Vec<(String, MetricValue)> =
+        counters.into_iter().map(|(name, n)| (name.to_owned(), MetricValue::Counter(n))).collect();
+    m.push(("sim.ptw.depth".to_owned(), MetricValue::Histogram(s.ptw_depth.clone())));
+    m.push(("sim.tlb.l2_miss_latency".to_owned(), MetricValue::Histogram(s.l2_miss_latency_hist.clone())));
+    let per_level = [
+        ("cache", "hit", &s.cache_hits),
+        ("cache", "miss", &s.cache_misses),
+        ("prefetch", "fill", &s.prefetch_fills),
+    ];
+    for (group, event, counts) in per_level {
+        for (level, &n) in CACHE_LEVELS.iter().zip(counts) {
+            m.push((format!("sim.{group}.{level}.{event}"), MetricValue::Counter(n)));
+        }
     }
-
-    /// The backing registry, with all buffered deltas drained into it
-    /// (for snapshotting or external sharing).
-    pub fn registry(&self) -> &Arc<Registry> {
-        self.buf.flush_into(&self.reg);
-        &self.reg
-    }
-
-    /// Decodes every metric in registration order.
-    pub fn snapshot(&self) -> Vec<(String, MetricValue)> {
-        self.buf.flush_into(&self.reg);
-        self.reg.snapshot()
-    }
-
-    /// Reads one histogram back out (tests, reports).
-    pub fn histogram(&self, id: MetricId) -> HistSnapshot {
-        self.buf.flush_into(&self.reg);
-        self.reg.histogram_snapshot(id)
-    }
-
-    /// Increments a counter (allocation-free, non-atomic).
-    #[inline]
-    pub(crate) fn inc(&self, id: MetricId) {
-        self.buf.inc(id);
-    }
-
-    /// Adds to a counter (allocation-free, non-atomic).
-    #[inline]
-    pub(crate) fn add(&self, id: MetricId, n: u64) {
-        self.buf.add(id, n);
-    }
-
-    /// Stores a gauge level (allocation-free, non-atomic).
-    #[inline]
-    pub(crate) fn set(&self, id: MetricId, v: u64) {
-        self.buf.set(id, v);
-    }
-
-    /// Records a histogram observation (allocation-free, non-atomic).
-    #[inline]
-    pub(crate) fn observe(&self, id: MetricId, v: u64) {
-        self.buf.observe(id, v);
-    }
+    let (used, free) = sys.frame_usage();
+    m.push(("sim.frames.used".to_owned(), MetricValue::Gauge(used)));
+    m.push(("sim.frames.free".to_owned(), MetricValue::Gauge(free)));
+    m
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SystemConfig;
+    use workloads::{registry, Scale};
 
     #[test]
-    fn install_registers_the_full_metric_set() {
-        let m = SimMetrics::install();
-        let snap = m.snapshot();
-        assert!(snap.len() >= 20);
-        assert_eq!(snap[0].0, "sim.tlb.l1.hit");
-        assert!(snap.iter().all(|(n, _)| n.starts_with("sim.")));
-        m.inc(m.l1_tlb_hit);
-        m.observe(m.walk_depth, 4);
-        assert_eq!(m.snapshot()[0].1, MetricValue::Counter(1));
-        assert_eq!(m.histogram(m.walk_depth).count, 1);
+    fn projection_reads_the_component_counters() {
+        // Finalizing copies the components' window counters into
+        // SimStats; the projection must read back exactly those.
+        let cfg = SystemConfig::victima();
+        let w = registry::by_name_seeded("RND", Scale::Tiny, cfg.seed).expect("known workload");
+        let mut sys = System::new(cfg, w);
+        sys.run_with_warmup(5_000, 50_000);
+        sys.finalize_stats();
+        let m = metrics_of(&sys);
+        assert_eq!(m[0].0, "sim.tlb.l1.hit");
+        assert!(m.iter().all(|(n, _)| n.starts_with("sim.")));
+        let counter = |name: &str| match m.iter().find(|(n, _)| n == name) {
+            Some((_, MetricValue::Counter(v))) => *v,
+            other => panic!("{name}: expected a counter, got {other:?}"),
+        };
+        assert_eq!(counter("sim.tlb.itlb.miss"), sys.itlb.stats.misses);
+        assert_eq!(counter("sim.ptw.walks"), sys.walker.stats.walks);
+        let l3 = sys.hier.l3();
+        for (level, c) in CACHE_LEVELS.iter().zip([sys.hier.l1d(), sys.hier.l2(), &*l3]) {
+            assert_eq!(counter(&format!("sim.cache.{level}.hit")), c.stats.hits, "{level}");
+            assert_eq!(counter(&format!("sim.cache.{level}.miss")), c.stats.misses, "{level}");
+            assert_eq!(counter(&format!("sim.prefetch.{level}.fill")), c.stats.prefetch_fills, "{level}");
+        }
+        assert!(counter("sim.cache.l1d.hit") > 0 && counter("sim.ptw.walks") > 0);
     }
 
     #[test]

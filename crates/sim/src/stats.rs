@@ -1,5 +1,7 @@
 //! End-of-run statistics: everything the paper's figures read off.
 
+use obs::HistSnapshot;
+use tlb_sim::WalkOutcome;
 use vm_types::{Histogram, ReuseHistogram};
 
 /// How a sampled run's statistics were put together (SMARTS-style
@@ -56,6 +58,11 @@ pub struct SimStats {
 
     /// Page-table walks (guest-side 2D walks in virtualised mode).
     pub ptws: u64,
+    /// Walks the page-walk caches largely served
+    /// ([`WalkOutcome::served_by_pwc`]); the rest of `ptws` missed them.
+    pub pwc_walk_hits: u64,
+    /// Memory accesses per walk (walk depth): one observation per walk.
+    pub ptw_depth: HistSnapshot,
     /// Host page-table walks (virtualised mode only).
     pub host_ptws: u64,
     /// Host translations requested during walks / after TLB-block hits
@@ -68,6 +75,9 @@ pub struct SimStats {
 
     /// Total latency of L2-TLB-miss handling (Fig. 9/22/29 numerator).
     pub l2_miss_latency_sum: u64,
+    /// The same latency per miss, bucketed by power of two: one
+    /// observation per L2 TLB miss, summing to `l2_miss_latency_sum`.
+    pub l2_miss_latency_hist: HistSnapshot,
     /// ... the POM-TLB lookup component.
     pub l2_miss_pom_component: u64,
     /// ... the L2-cache (Victima TLB-block probe hit) component.
@@ -77,7 +87,8 @@ pub struct SimStats {
     /// ... the host-side component (virtualised mode).
     pub l2_miss_host_component: u64,
 
-    /// POM-TLB lookups that hit.
+    /// POM-TLB lookups that hit (copied from the POM-TLB by
+    /// `finalize_stats`).
     pub pom_hits: u64,
     /// POM-TLB lookups that missed.
     pub pom_misses: u64,
@@ -94,6 +105,16 @@ pub struct SimStats {
     pub ptw_latency_mean: f64,
     /// Fraction of walks that touched DRAM.
     pub ptw_dram_fraction: f64,
+
+    /// I-TLB misses (copied from the I-TLB by `finalize_stats`).
+    pub itlb_misses: u64,
+    /// Data-hierarchy hits per level — L1D, L2, L3 (copied from the
+    /// caches by `finalize_stats`).
+    pub cache_hits: [u64; 3],
+    /// Data-hierarchy misses per level — L1D, L2, L3.
+    pub cache_misses: [u64; 3],
+    /// Lines the prefetchers filled per level — L1D, L2, L3.
+    pub prefetch_fills: [u64; 3],
 
     /// L2 cache data-block reuse at eviction (Fig. 11).
     pub l2_data_reuse: ReuseHistogram,
@@ -126,11 +147,14 @@ impl Default for SimStats {
             l2_tlb_misses: 0,
             l3_tlb_hits: 0,
             ptws: 0,
+            pwc_walk_hits: 0,
+            ptw_depth: HistSnapshot::default(),
             host_ptws: 0,
             host_translations: 0,
             nested_tlb_hits: 0,
             nested_block_hits: 0,
             l2_miss_latency_sum: 0,
+            l2_miss_latency_hist: HistSnapshot::default(),
             l2_miss_pom_component: 0,
             l2_miss_cache_component: 0,
             l2_miss_walk_component: 0,
@@ -143,6 +167,10 @@ impl Default for SimStats {
             ptw_latency_hist: Histogram::new(20, 10, 17),
             ptw_latency_mean: 0.0,
             ptw_dram_fraction: 0.0,
+            itlb_misses: 0,
+            cache_hits: [0; 3],
+            cache_misses: [0; 3],
+            prefetch_fills: [0; 3],
             l2_data_reuse: ReuseHistogram::new(),
             l2_tlb_block_reuse: ReuseHistogram::new(),
             reach_mean_bytes: 0.0,
@@ -171,6 +199,14 @@ impl SimStats {
         } else {
             self.instructions as f64 / self.cycles_f
         }
+    }
+
+    /// Counts one demand page-table walk.
+    #[inline]
+    pub(crate) fn record_walk(&mut self, walk: &WalkOutcome) {
+        self.ptws += 1;
+        self.pwc_walk_hits += u64::from(walk.served_by_pwc());
+        self.ptw_depth.record(u64::from(walk.memory_accesses));
     }
 
     /// L2 TLB misses per kilo-instruction (Fig. 5's metric).
@@ -265,11 +301,14 @@ impl SimStats {
         self.l2_tlb_misses += w.l2_tlb_misses;
         self.l3_tlb_hits += w.l3_tlb_hits;
         self.ptws += w.ptws;
+        self.pwc_walk_hits += w.pwc_walk_hits;
+        self.ptw_depth.merge(&w.ptw_depth);
         self.host_ptws += w.host_ptws;
         self.host_translations += w.host_translations;
         self.nested_tlb_hits += w.nested_tlb_hits;
         self.nested_block_hits += w.nested_block_hits;
         self.l2_miss_latency_sum += w.l2_miss_latency_sum;
+        self.l2_miss_latency_hist.merge(&w.l2_miss_latency_hist);
         self.l2_miss_pom_component += w.l2_miss_pom_component;
         self.l2_miss_cache_component += w.l2_miss_cache_component;
         self.l2_miss_walk_component += w.l2_miss_walk_component;
@@ -279,6 +318,12 @@ impl SimStats {
         self.victima_hits += w.victima_hits;
         self.victima_background_walks += w.victima_background_walks;
         self.victima_inserts += w.victima_inserts;
+        self.itlb_misses += w.itlb_misses;
+        for i in 0..3 {
+            self.cache_hits[i] += w.cache_hits[i];
+            self.cache_misses[i] += w.cache_misses[i];
+            self.prefetch_fills[i] += w.prefetch_fills[i];
+        }
         self.ptw_latency_hist.merge(&w.ptw_latency_hist);
         self.l2_data_reuse.merge(&w.l2_data_reuse);
         self.l2_tlb_block_reuse.merge(&w.l2_tlb_block_reuse);

@@ -8,7 +8,6 @@
 
 use crate::config::{ExecMode, SystemConfig, TranslationMechanism};
 use crate::epochs::EpochTracker;
-use crate::obs::SimMetrics;
 use crate::stats::SimStats;
 use mem_sim::{BlockKind, Hierarchy, MemClass, MemLevel, Policy, SharedLlc};
 use obs::Tracer;
@@ -171,9 +170,6 @@ pub struct System {
     /// sees every [`MemRef`] exactly as [`System::step`] consumes it,
     /// warm-up included, so a recorded trace replays the whole run.
     record_hook: Option<Box<dyn FnMut(MemRef)>>,
-    /// Optional hot-path metrics ([`crate::obs`]); `None` (the default)
-    /// keeps every instrumentation site down to one discriminant test.
-    pub(crate) metrics: Option<Box<SimMetrics>>,
     /// Optional phase-span tracer: `run_with_warmup`, the sampling loop
     /// and checkpoint restore record wall-clock phase timings into it.
     /// Timings never reach [`SimStats`] or any `--check` artifact.
@@ -322,7 +318,6 @@ impl System {
             stats: SimStats::default(),
             tracker: None,
             record_hook: None,
-            metrics: None,
             tracer: None,
             refs_consumed: 0,
             hier,
@@ -358,25 +353,6 @@ impl System {
     /// captured (recorders reclaim their writer through this).
     pub fn take_record_hook(&mut self) -> Option<Box<dyn FnMut(MemRef)>> {
         self.record_hook.take()
-    }
-
-    /// Enables hot-path metrics collection into a fresh registry
-    /// ([`crate::obs::SimMetrics`]). Like the record hook and the
-    /// feature tracker, enablement is post-construction state: it never
-    /// enters the config or the spec fingerprint, and it cannot change
-    /// simulation results.
-    pub fn enable_metrics(&mut self) {
-        self.metrics = Some(SimMetrics::install());
-    }
-
-    /// The installed metric set, when metrics are enabled.
-    pub fn metrics(&self) -> Option<&SimMetrics> {
-        self.metrics.as_deref()
-    }
-
-    /// Removes and returns the metric set (end-of-run harvest).
-    pub fn take_metrics(&mut self) -> Option<Box<SimMetrics>> {
-        self.metrics.take()
     }
 
     /// Enables phase-span tracing into a fresh [`Tracer`].
@@ -646,9 +622,6 @@ impl System {
             Some(e) => (e.frame, 0),
             None => {
                 // Miss: L2 TLB, then walk. Code pages are always 4KB.
-                if let Some(m) = &self.metrics {
-                    m.inc(m.itlb_miss);
-                }
                 let mut lat = self.l2_tlb.latency();
                 let entry = match self.l2_tlb.probe(vpn, self.proc.asid, PageSize::Size4K) {
                     Some(e) => e,
@@ -679,40 +652,25 @@ impl System {
         // hidden in the pipeline).
         if let Some(e) = self.dtlb4k.probe(va.vpn(PageSize::Size4K), self.proc.asid, PageSize::Size4K) {
             self.stats.l1_tlb_hits += 1;
-            if let Some(m) = &self.metrics {
-                m.inc(m.l1_tlb_hit);
-            }
             return (self.entry_pa(&e, va), 0);
         }
         if let Some(e) = self.dtlb2m.probe(va.vpn(PageSize::Size2M), self.proc.asid, PageSize::Size2M) {
             self.stats.l1_tlb_hits += 1;
-            if let Some(m) = &self.metrics {
-                m.inc(m.l1_tlb_hit);
-            }
             return (self.entry_pa(&e, va), 0);
         }
         self.stats.l1_tlb_misses += 1;
-        if let Some(m) = &self.metrics {
-            m.inc(m.l1_tlb_miss);
-        }
 
         // Unified L2 TLB, both page sizes probed in parallel.
         let mut latency = self.l2_tlb.latency();
         for size in PageSize::ALL {
             if let Some(e) = self.l2_tlb.probe(va.vpn(size), self.proc.asid, size) {
                 self.stats.l2_tlb_hits += 1;
-                if let Some(m) = &self.metrics {
-                    m.inc(m.l2_tlb_hit);
-                }
                 self.fill_l1(e);
                 self.track_l1_miss(va, size);
                 return (self.entry_pa(&e, va), latency);
             }
         }
         self.stats.l2_tlb_misses += 1;
-        if let Some(m) = &self.metrics {
-            m.inc(m.l2_tlb_miss);
-        }
         self.epoch.on_l2_tlb_miss();
 
         let res = match self.cfg.mode {
@@ -720,10 +678,8 @@ impl System {
             _ => self.resolve_l2_miss_virt(va),
         };
         latency += res.latency;
-        if let Some(m) = &self.metrics {
-            m.observe(m.l2_miss_latency, res.latency);
-        }
         self.stats.l2_miss_latency_sum += res.latency;
+        self.stats.l2_miss_latency_hist.record(res.latency);
         self.stats.l2_miss_pom_component += res.components[0];
         self.stats.l2_miss_cache_component += res.components[1];
         self.stats.l2_miss_walk_component += res.components[2];
@@ -864,9 +820,6 @@ impl System {
             return;
         }
         self.stats.victima_background_walks += 1;
-        if let Some(m) = &self.metrics {
-            m.inc(m.victima_bg_walk);
-        }
         let Memory::Native { aspace, .. } = &mut self.proc.memory else {
             unreachable!("native flow");
         };
@@ -875,9 +828,6 @@ impl System {
             let v = self.victima.as_mut().expect("checked above");
             if v.insert_after_eviction_walk(self.hier.l2_mut(), ev_va, ev.asid, BlockKind::Tlb, &w, &ctx) {
                 self.stats.victima_inserts += 1;
-                if let Some(m) = &self.metrics {
-                    m.inc(m.victima_insert);
-                }
             }
         }
     }
@@ -896,9 +846,6 @@ impl System {
             for size in PageSize::ALL {
                 if let Some(e) = l3.probe(va.vpn(size), self.proc.asid, size) {
                     self.stats.l3_tlb_hits += 1;
-                    if let Some(m) = &self.metrics {
-                        m.inc(m.l3_tlb_hit);
-                    }
                     return MissResolution { entry: e, latency, components };
                 }
             }
@@ -926,9 +873,6 @@ impl System {
                     latency += l2c;
                     components[1] += l2c;
                     self.stats.victima_hits += 1;
-                    if let Some(m) = &self.metrics {
-                        m.inc(m.victima_hit);
-                    }
                     return MissResolution { entry, latency, components };
                 }
             }
@@ -951,15 +895,7 @@ impl System {
             latency += pom_lat;
             components[0] += pom_lat;
             if let Some(entry) = hit {
-                self.stats.pom_hits += 1;
-                if let Some(m) = &self.metrics {
-                    m.inc(m.pom_hit);
-                }
                 return MissResolution { entry, latency, components };
-            }
-            self.stats.pom_misses += 1;
-            if let Some(m) = &self.metrics {
-                m.inc(m.pom_miss);
             }
         }
 
@@ -971,20 +907,11 @@ impl System {
             .walker
             .walk(&mut aspace.page_table, va, self.proc.asid, &mut self.hier, &ctx)
             .unwrap_or_else(|| panic!("page fault at {va}: workload touched an unmapped page"));
-        self.stats.ptws += 1;
+        self.stats.record_walk(&walk);
         latency += walk.latency;
         components[2] += walk.latency;
-        // A walk that touched fewer memory levels than the radix depth
-        // was largely served by the page-walk caches.
-        let pwc_hit = walk.memory_accesses < 4 && walk.page_size == PageSize::Size4K
-            || walk.memory_accesses < 3 && walk.page_size == PageSize::Size2M;
-        if let Some(m) = &self.metrics {
-            m.inc(m.ptw);
-            m.inc(if pwc_hit { m.pwc_hit } else { m.pwc_miss });
-            m.observe(m.walk_depth, walk.memory_accesses as u64);
-            m.observe(m.walk_latency, walk.latency);
-        }
         if let Some(t) = self.tracker.as_mut() {
+            let pwc_hit = walk.served_by_pwc();
             t.on_walk(self.proc.asid, va, walk.page_size, walk.latency, walk.dram_touched, pwc_hit);
         }
 
@@ -1008,9 +935,6 @@ impl System {
         if let Some(v) = self.victima.as_mut() {
             if v.insert_after_walk(self.hier.l2_mut(), va, self.proc.asid, BlockKind::Tlb, &walk, &ctx) {
                 self.stats.victima_inserts += 1;
-                if let Some(m) = &self.metrics {
-                    m.inc(m.victima_insert);
-                }
             }
         }
         MissResolution { entry, latency, components }
@@ -1064,33 +988,25 @@ impl System {
             self.stats.pom_hits = p.stats.hits;
             self.stats.pom_misses = p.stats.misses;
         }
-        self.snapshot_metrics();
+        self.stats.itlb_misses = self.itlb.stats.misses;
+        let l3 = self.hier.l3();
+        for (i, c) in [self.hier.l1d(), self.hier.l2(), &*l3].into_iter().enumerate() {
+            self.stats.cache_hits[i] = c.stats.hits;
+            self.stats.cache_misses[i] = c.stats.misses;
+            self.stats.prefetch_fills[i] = c.stats.prefetch_fills;
+        }
     }
 
-    /// Folds finalize-time readings into the metric registry: cache and
-    /// prefetcher counters for the window just measured (component stats
-    /// reset per window, so adding per finalize accumulates correctly
-    /// across sampling windows) and frame-pool pressure gauges.
-    fn snapshot_metrics(&mut self) {
-        let Some(m) = &self.metrics else {
-            return;
-        };
-        let l3 = self.hier.l3();
-        let levels = [self.hier.l1d(), self.hier.l2(), &*l3];
-        for (i, c) in levels.into_iter().enumerate() {
-            m.add(m.cache_hit[i], c.stats.hits);
-            m.add(m.cache_miss[i], c.stats.misses);
-            m.add(m.prefetch_fill[i], c.stats.prefetch_fills);
-        }
-        let (used, free) = match &self.proc.memory {
+    /// Physical frames in use and still free (host side in virtualised
+    /// mode).
+    pub(crate) fn frame_usage(&self) -> (u64, u64) {
+        match &self.proc.memory {
             Memory::Native { alloc, .. } => {
                 let a = alloc.borrow();
                 (a.frames_used(), a.frames_left())
             }
             Memory::Virt { nested } => (nested.host_alloc.frames_used(), nested.host_alloc.frames_left()),
-        };
-        m.set(m.frames_used, used);
-        m.set(m.frames_free, free);
+        }
     }
 
     /// OS-initiated TLB shootdown for one page of the *resident* address

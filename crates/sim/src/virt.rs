@@ -37,7 +37,7 @@ impl System {
             .walker
             .walk(&mut nested.shadow.table, gva, self.proc.asid, &mut self.hier, &ctx)
             .unwrap_or_else(|| panic!("shadow page fault at {gva}"));
-        self.stats.ptws += 1;
+        self.stats.record_walk(&walk);
         let entry = TlbEntry::with_counters(
             gva.vpn(walk.page_size),
             self.proc.asid,
@@ -89,10 +89,8 @@ impl System {
                 }
             }
             if let Some(entry) = hit {
-                self.stats.pom_hits += 1;
                 return MissResolution { entry, latency: pom_lat, components: [pom_lat, 0, 0, 0] };
             }
-            self.stats.pom_misses += 1;
             let mut res = self.nested_walk(gva, true);
             res.latency += pom_lat;
             res.components[0] += pom_lat;
@@ -157,8 +155,19 @@ impl System {
                 leaf_pte = *p;
             });
         }
+        // The guest dimension of the walk, as the walker would report it
+        // (Victima re-points the leaf address at its host copy below).
+        let mut wo = WalkOutcome {
+            latency: guest_lat,
+            dram_touched: guest_dram,
+            frame: gw.frame,
+            page_size: gw.page_size,
+            leaf_pte,
+            leaf_pte_paddr: gw.leaf_pte_paddr(),
+            memory_accesses: accesses,
+        };
         if demand {
-            self.stats.ptws += 1;
+            self.stats.record_walk(&wo);
         }
 
         // Compose the final gVA→hPA entry (+ final host translation).
@@ -184,15 +193,7 @@ impl System {
                 nested.host_translate(gw.leaf_pte_paddr()).map(|(hpa, _)| hpa)
             };
             if let Some(leaf_hpa) = leaf_hpa {
-                let wo = WalkOutcome {
-                    latency: guest_lat,
-                    dram_touched: guest_dram,
-                    frame: gw.frame,
-                    page_size: gw.page_size,
-                    leaf_pte,
-                    leaf_pte_paddr: leaf_hpa,
-                    memory_accesses: accesses,
-                };
+                wo.leaf_pte_paddr = leaf_hpa;
                 let Some(v) = self.victima.as_mut() else { unreachable!("victima_active checked") };
                 let inserted = if demand {
                     v.insert_after_walk(self.hier.l2_mut(), gva, self.proc.asid, BlockKind::Tlb, &wo, &ctx)

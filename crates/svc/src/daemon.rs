@@ -572,7 +572,7 @@ fn handle_submit(state: &Arc<State>, req: &SweepRequest, mut sink: Option<&mut T
     let specs = match req.specs() {
         Ok(specs) => specs,
         Err(e) => {
-            send(&mut sink, &fault_line(&e));
+            send(&mut sink, &fault_line(&e.to_string()));
             return;
         }
     };

@@ -50,7 +50,7 @@ pub use fault::{fnv1a64, CacheFault, FaultPlan, WorkerFault, FAULTS_ENV};
 pub use journal::Journal;
 pub use log::{Level, Logger, LOG_FILE};
 pub use proto::{
-    parse_request, parse_stream_line, MetricsInfo, Request, SpecDesc, StatusInfo, StreamLine, SweepRequest,
-    PROTO_ID,
+    parse_request, parse_stream_line, MetricsInfo, Request, SpecDesc, StatusInfo, StreamLine, SweepError,
+    SweepRequest, PROTO_ID,
 };
 pub use worker::{run_spec, worker_main, WorkerBackend, CRASH_ENV, WORKER_ARG};

@@ -43,7 +43,7 @@
 
 use report::json::{parse_json, report_to_value, value_to_report, write_json_compact, JsonValue};
 use report::{Column, ExperimentReport, Metric, Provenance, Unit, Value};
-use sim::{RunSpec, SamplingConfig, SimStats, SystemConfig, ENGINE_ID};
+use sim::{ExecMode, RunSpec, SamplingConfig, SimStats, SystemConfig, ENGINE_ID};
 use workloads::{registry, Scale};
 
 /// Protocol identity stamped on every response line. Bump when the line
@@ -191,28 +191,26 @@ impl SweepRequest {
     /// Validates the request and expands it into per-spec descriptors in
     /// sweep order (configs-major, workloads minor — the order response
     /// lines are streamed in).
-    pub fn specs(&self) -> Result<Vec<SpecDesc>, String> {
+    pub fn specs(&self) -> Result<Vec<SpecDesc>, SweepError> {
         if self.configs.is_empty() {
-            return Err("a sweep needs at least one config".into());
+            return Err(SweepError::NoConfigs);
         }
         if self.workloads.is_empty() {
-            return Err("a sweep needs at least one workload".into());
+            return Err(SweepError::NoWorkloads);
         }
         for c in &self.configs {
-            if SystemConfig::by_name(c).is_none() {
-                return Err(format!("unknown config {c:?} (known: {})", sim::config::CONFIG_KEYS.join(", ")));
+            let cfg = SystemConfig::by_name(c).ok_or_else(|| SweepError::UnknownConfig(c.clone()))?;
+            if self.sampling.is_some() && cfg.mode != ExecMode::Native {
+                return Err(SweepError::SampledVirtualized(c.clone()));
             }
         }
         for w in &self.workloads {
             if !registry::WORKLOAD_NAMES.contains(&w.as_str()) {
-                return Err(format!(
-                    "unknown workload {w:?} (known: {})",
-                    registry::WORKLOAD_NAMES.join(", ")
-                ));
+                return Err(SweepError::UnknownWorkload(w.clone()));
             }
         }
         if let Some(s) = &self.sampling {
-            s.validate()?;
+            s.validate().map_err(SweepError::BadSampling)?;
         }
         let mut specs = Vec::with_capacity(self.configs.len() * self.workloads.len());
         for config in &self.configs {
@@ -229,6 +227,51 @@ impl SweepRequest {
             }
         }
         Ok(specs)
+    }
+}
+
+/// Why a [`SweepRequest`] does not expand into specs.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SweepError {
+    /// The request names no config.
+    NoConfigs,
+    /// The request names no workload.
+    NoWorkloads,
+    /// A config key outside `sim::config::CONFIG_KEYS`.
+    UnknownConfig(String),
+    /// A workload outside `workloads::registry::WORKLOAD_NAMES`.
+    UnknownWorkload(String),
+    /// The sampling schedule does not validate.
+    BadSampling(String),
+    /// Sampling was requested for a virtualised config: interval
+    /// sampling fast-forwards native address spaces only.
+    SampledVirtualized(String),
+}
+
+impl std::fmt::Display for SweepError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::NoConfigs => f.write_str("a sweep needs at least one config"),
+            Self::NoWorkloads => f.write_str("a sweep needs at least one workload"),
+            Self::UnknownConfig(c) => {
+                write!(f, "unknown config {c:?} (known: {})", sim::config::CONFIG_KEYS.join(", "))
+            }
+            Self::UnknownWorkload(w) => {
+                write!(f, "unknown workload {w:?} (known: {})", registry::WORKLOAD_NAMES.join(", "))
+            }
+            Self::BadSampling(e) => f.write_str(e),
+            Self::SampledVirtualized(c) => {
+                write!(f, "config {c:?} is virtualised; sampling supports native configs only")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SweepError {}
+
+impl From<SweepError> for String {
+    fn from(e: SweepError) -> Self {
+        e.to_string()
     }
 }
 
@@ -797,13 +840,25 @@ mod tests {
     fn specs_reject_unknown_names_up_front() {
         let mut req = sample_request();
         req.configs = vec!["warp-drive".into()];
-        assert!(req.specs().unwrap_err().contains("unknown config"));
+        assert_eq!(req.specs().unwrap_err(), SweepError::UnknownConfig("warp-drive".into()));
+        assert!(req.specs().unwrap_err().to_string().contains("victima-virt"), "lists every key");
         let mut req = sample_request();
         req.workloads = vec!["NOPE".into()];
-        assert!(req.specs().unwrap_err().contains("unknown workload"));
+        assert_eq!(req.specs().unwrap_err(), SweepError::UnknownWorkload("NOPE".into()));
         let mut req = sample_request();
         req.workloads.clear();
-        assert!(req.specs().unwrap_err().contains("at least one workload"));
+        assert_eq!(req.specs().unwrap_err(), SweepError::NoWorkloads);
+    }
+
+    #[test]
+    fn specs_reject_sampling_a_virtualised_config() {
+        let sampling = Some(SamplingConfig { fast: 20_000, detailed: 2_000, warm: 1_000 });
+        let mut req = SweepRequest { sampling, ..sample_request() };
+        assert_eq!(req.specs().unwrap().len(), 4, "native configs sample");
+        req.configs.push("np".into());
+        assert_eq!(req.specs().unwrap_err(), SweepError::SampledVirtualized("np".into()));
+        req.sampling = None;
+        assert_eq!(req.specs().unwrap().len(), 6, "virtualised configs run in full detail");
     }
 
     #[test]

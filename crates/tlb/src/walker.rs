@@ -36,6 +36,18 @@ pub struct WalkOutcome {
     pub memory_accesses: u8,
 }
 
+impl WalkOutcome {
+    /// Whether the page-walk caches largely served this walk: it touched
+    /// memory at fewer levels than the radix depth above its leaf (four
+    /// for a 4KB page, three for a 2MB page).
+    pub fn served_by_pwc(&self) -> bool {
+        match self.page_size {
+            PageSize::Size4K => self.memory_accesses < 4,
+            PageSize::Size2M => self.memory_accesses < 3,
+        }
+    }
+}
+
 /// Aggregate walker statistics.
 #[derive(Clone, Debug)]
 pub struct WalkerStats {
@@ -195,6 +207,7 @@ mod tests {
         let ctx = ReplacementCtx::default();
         let out = w.walk(&mut pt, va, Asid::new(1), &mut hier, &ctx).expect("mapped");
         assert_eq!(out.memory_accesses, 4);
+        assert!(!out.served_by_pwc(), "a full-depth 4KB walk missed the PWCs");
         assert_eq!(out.frame, frame);
         assert!(out.dram_touched);
         assert!(out.latency > 100, "cold walk should reach DRAM, got {}", out.latency);
@@ -212,6 +225,7 @@ mod tests {
         w.walk(&mut pt, va, Asid::new(1), &mut hier, &ctx).unwrap();
         let out = w.walk(&mut pt, vb, Asid::new(1), &mut hier, &ctx).unwrap();
         assert_eq!(out.memory_accesses, 1, "PWC covers all upper levels");
+        assert!(out.served_by_pwc());
         // The leaf block was just fetched into L2 by the first walk.
         assert_eq!(out.latency, PWC_LATENCY + 16);
     }
