@@ -311,7 +311,6 @@ impl SimEngine {
         let start = Instant::now();
         let mut cfg = spec.config.clone();
         cfg.seed = spec.seed;
-        crate::virt::assert_mode_supported(&cfg.mechanism, cfg.mode);
         let workload = registry::by_name_seeded(&spec.workload, spec.scale, spec.seed)
             .unwrap_or_else(|| panic!("unknown workload {}", spec.workload));
         let mut sys = System::new(cfg, workload);

@@ -130,7 +130,7 @@ impl MultiCoreSystem {
         // Cores 0..N take processes 0..N; the rest start parked.
         let rest = all_procs.split_off(cores);
         for proc in all_procs {
-            core_systems.push(System::new_shared(cfg.clone(), proc, Rc::clone(&llc), &alloc));
+            core_systems.push(System::new_shared(cfg.clone(), proc, Rc::clone(&llc)));
             parked.push(None);
         }
         for proc in rest {

@@ -49,7 +49,6 @@ impl Runner {
     ///
     /// Panics if `workload` is not one of the paper's 11 names.
     pub fn build(&self, workload: &str, cfg: &SystemConfig) -> System {
-        crate::virt::assert_mode_supported(&cfg.mechanism, cfg.mode);
         let w =
             registry::by_name(workload, self.scale).unwrap_or_else(|| panic!("unknown workload {workload}"));
         System::new(cfg.clone(), w)

@@ -1,22 +1,27 @@
 //! One simulated core's memory system, driven by a workload stream.
 //!
 //! The translation flow follows Fig. 2 (and Figs. 14/17 for Victima):
-//! L1 D-TLBs (per page size) → unified L2 TLB → mechanism-specific
-//! backstop (radix walk, hardware L3 TLB, POM-TLB lookup, Victima's
-//! parallel L2-cache probe, or the Fig. 10 ideal backstop) → page-table
-//! walk. Virtualised flows live in [`crate::virt`].
+//! L1 D-TLBs (per page size) → unified L2 TLB → one backstop chain,
+//! `System::resolve_l2_miss`, for every execution mode: hardware L3
+//! TLB → Fig. 10 ideal backstop → Victima's L2-cache TLB-block probe →
+//! POM-TLB lookup → demand page-table walk. A displaced L2 TLB entry runs
+//! the POM-TLB spill and Victima's eviction flow. Virtualisation
+//! (Figs. 18/19) changes only two steps of the chain — composing an entry
+//! in software and the demand walk — and adds the gPA→hPA translation
+//! behind the nested TLB; those pieces live in [`crate::virt`]. See
+//! DESIGN.md, "Translation path".
 
 use crate::config::{ExecMode, SystemConfig, TranslationMechanism};
 use crate::epochs::EpochTracker;
 use crate::stats::SimStats;
 use mem_sim::{BlockKind, Hierarchy, MemClass, MemLevel, Policy, SharedLlc};
 use obs::Tracer;
-use page_table::{AddressSpace, FrameAllocator, MappedRegion, NestedMemory};
+use page_table::{AddressSpace, FrameAllocator, MappedRegion, NestedMemory, Pte, RadixPageTable};
 use std::cell::RefCell;
 use std::rc::Rc;
-use tlb_sim::{PageTableWalker, PomTlb, SetAssocTlb, TlbEntry};
+use tlb_sim::{PageTableWalker, PomTlb, SetAssocTlb, TlbEntry, WalkOutcome};
 use victima::{features::FeatureTracker, Victima};
-use vm_types::{AccessKind, Asid, Cycles, MemRef, PageSize, PhysAddr, VirtAddr};
+use vm_types::{Asid, Cycles, MemRef, PageSize, PhysAddr, VirtAddr};
 use workloads::{Workload, WorkloadStream};
 
 /// Where the translated memory image lives.
@@ -36,6 +41,20 @@ pub(crate) enum Memory {
         /// The guest memory image.
         nested: Box<NestedMemory>,
     },
+}
+
+impl Memory {
+    /// The radix table a one-dimensional hardware walk of `kind`
+    /// translations reads: the process table natively; in a guest VM the
+    /// shadow table (gVA→hPA, I-SP) for [`BlockKind::Tlb`] and the host
+    /// table (gPA→hPA) for [`BlockKind::NestedTlb`].
+    pub(crate) fn radix_mut(&mut self, kind: BlockKind) -> &mut RadixPageTable {
+        match (self, kind) {
+            (Memory::Native { aspace, .. }, _) => &mut aspace.page_table,
+            (Memory::Virt { nested }, BlockKind::NestedTlb) => &mut nested.host_pt,
+            (Memory::Virt { nested }, _) => &mut nested.shadow.table,
+        }
+    }
 }
 
 /// Everything that belongs to the *process* rather than the core: the
@@ -157,6 +176,8 @@ pub struct System {
     pub(crate) host_walker: PageTableWalker,
     /// Nested TLB (gPA → hPA, virtualised mode).
     pub(crate) nested_tlb: SetAssocTlb,
+    /// Fig. 10 ideal backstop: the fixed latency of every L2 TLB miss.
+    ideal_backstop: Option<Cycles>,
     pub(crate) pom: Option<PomTlb>,
     pub(crate) victima: Option<Victima>,
     /// The resident process (swapped by the multi-core scheduler).
@@ -202,21 +223,22 @@ impl System {
     /// Builds a system: allocates physical memory, maps the workload's
     /// regions (and the virtualised image if configured), and wires up
     /// every component.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the Fig. 10 ideal backstop is configured outside native
+    /// mode.
     pub fn new(cfg: SystemConfig, mut workload: Box<dyn Workload>) -> Self {
+        if matches!(cfg.mechanism, TranslationMechanism::IdealBackstop(_)) {
+            assert_eq!(cfg.mode, ExecMode::Native, "the Fig. 10 ideal backstop is a native-mode study");
+        }
         let asid = Asid::new(1);
 
         // Build the memory image and map regions.
-        let (proc, pom_base) = match cfg.mode {
+        let proc = match cfg.mode {
             ExecMode::Native => {
                 let alloc = Rc::new(RefCell::new(FrameAllocator::new(cfg.phys_mem_bytes, cfg.seed)));
-                let proc = ProcessCtx::new_native(asid, workload, &alloc, cfg.seed);
-                let pom_base = match &cfg.mechanism {
-                    TranslationMechanism::PomTlb(p) | TranslationMechanism::VictimaPom(_, p) => {
-                        Some(alloc.borrow_mut().alloc_contiguous(p.storage_bytes()))
-                    }
-                    _ => None,
-                };
-                (proc, pom_base)
+                ProcessCtx::new_native(asid, workload, &alloc, cfg.seed)
             }
             ExecMode::VirtualizedNested | ExecMode::VirtualizedShadow => {
                 let specs = workload.region_specs();
@@ -231,75 +253,58 @@ impl System {
                 let code = nested.map_small_region(256 << 10);
                 let bases: Vec<VirtAddr> =
                     specs.iter().map(|s| nested.map_region(s.bytes, s.huge_fraction).base).collect();
-                let pom_base = match &cfg.mechanism {
-                    TranslationMechanism::PomTlb(p) | TranslationMechanism::VictimaPom(_, p) => {
-                        Some(nested.host_alloc.alloc_contiguous(p.storage_bytes()))
-                    }
-                    _ => None,
-                };
                 workload.init(&bases);
-                let proc = ProcessCtx {
+                ProcessCtx {
                     memory: Memory::Virt { nested: Box::new(nested) },
                     stream: WorkloadStream::new(workload),
                     code,
                     asid,
                     retired: 0,
                     cycles: 0.0,
-                };
-                (proc, pom_base)
+                }
             }
         };
-        Self::assemble(cfg, proc, pom_base, None)
+        Self::assemble(cfg, proc, None)
     }
 
     /// Builds a core over an externally owned (shared) LLC, bound to a
     /// pre-built native process — the multi-core construction path. The
-    /// POM-TLB region, when configured, is carved out of the shared frame
-    /// allocator (one private in-DRAM TLB per core).
-    pub fn new_shared(
-        cfg: SystemConfig,
-        proc: ProcessCtx,
-        llc: Rc<RefCell<SharedLlc>>,
-        alloc: &Rc<RefCell<FrameAllocator>>,
-    ) -> Self {
+    /// POM-TLB region, when configured, is carved out of the process's
+    /// (shared) frame allocator: one private in-DRAM TLB per core.
+    pub fn new_shared(cfg: SystemConfig, proc: ProcessCtx, llc: Rc<RefCell<SharedLlc>>) -> Self {
         assert_eq!(cfg.mode, ExecMode::Native, "multi-core cores are native-mode");
-        let pom_base = match &cfg.mechanism {
-            TranslationMechanism::PomTlb(p) | TranslationMechanism::VictimaPom(_, p) => {
-                Some(alloc.borrow_mut().alloc_contiguous(p.storage_bytes()))
-            }
-            _ => None,
-        };
-        Self::assemble(cfg, proc, pom_base, Some(llc))
+        Self::assemble(cfg, proc, Some(llc))
     }
 
-    /// Wires every hardware component around a process.
-    fn assemble(
-        cfg: SystemConfig,
-        proc: ProcessCtx,
-        pom_base: Option<PhysAddr>,
-        llc: Option<Rc<RefCell<SharedLlc>>>,
-    ) -> Self {
-        let l2_policy = match &cfg.mechanism {
-            TranslationMechanism::Victima(_)
-            | TranslationMechanism::PomTlb(_)
-            | TranslationMechanism::VictimaPom(..) => Policy::tlb_aware_srrip(),
-            _ => Policy::srrip(),
+    /// Wires every hardware component around a process. The `Option`
+    /// backstops (`l3_tlb`, `ideal_backstop`, `pom`, `victima`) are the
+    /// static composition of the configured mechanism; the per-reference
+    /// path only ever asks which of them are present.
+    fn assemble(cfg: SystemConfig, mut proc: ProcessCtx, llc: Option<Rc<RefCell<SharedLlc>>>) -> Self {
+        let (tlb_aware_l2, ideal_backstop, victima_cfg, pom_cfg) = match &cfg.mechanism {
+            TranslationMechanism::Radix => (false, None, None, None),
+            TranslationMechanism::IdealBackstop(l) => (false, Some(*l), None, None),
+            TranslationMechanism::PomTlb(p) => (true, None, None, Some(p)),
+            TranslationMechanism::Victima(v) => (true, None, Some(v), None),
+            TranslationMechanism::VictimaAgnostic(v) => (false, None, Some(v), None),
+            TranslationMechanism::VictimaPom(v, p) => (true, None, Some(v), Some(p)),
         };
+        let l2_policy = if tlb_aware_l2 { Policy::tlb_aware_srrip() } else { Policy::srrip() };
         let hier = match llc {
             Some(llc) => Hierarchy::with_shared_llc(cfg.hierarchy.clone(), l2_policy, llc),
             None => Hierarchy::with_l2_policy(cfg.hierarchy.clone(), l2_policy),
         };
-        let pom = match (&cfg.mechanism, pom_base) {
-            (TranslationMechanism::PomTlb(p), Some(base))
-            | (TranslationMechanism::VictimaPom(_, p), Some(base)) => Some(PomTlb::new(p.clone(), base)),
-            _ => None,
-        };
-        let victima = match &cfg.mechanism {
-            TranslationMechanism::Victima(v)
-            | TranslationMechanism::VictimaAgnostic(v)
-            | TranslationMechanism::VictimaPom(v, _) => Some(Victima::new(v.clone())),
-            _ => None,
-        };
+        // The in-DRAM POM-TLB region comes out of the process's physical
+        // memory (host memory in a guest VM), after the process is mapped.
+        let pom = pom_cfg.map(|p| {
+            let bytes = p.storage_bytes();
+            let base = match &mut proc.memory {
+                Memory::Native { alloc, .. } => alloc.borrow_mut().alloc_contiguous(bytes),
+                Memory::Virt { nested } => nested.host_alloc.alloc_contiguous(bytes),
+            };
+            PomTlb::new(p.clone(), base)
+        });
+        let victima = victima_cfg.map(|v| Victima::new(v.clone()));
 
         Self {
             itlb: SetAssocTlb::new(cfg.mmu.l1_itlb.clone()),
@@ -311,6 +316,7 @@ impl System {
             bg_walker: PageTableWalker::new(),
             host_walker: PageTableWalker::new(),
             nested_tlb: SetAssocTlb::new(cfg.mmu.nested_tlb.clone()),
+            ideal_backstop,
             pom,
             victima,
             proc,
@@ -432,7 +438,6 @@ impl System {
     /// Panics in virtualised mode (sampling is native-only).
     pub fn fast_forward(&mut self, instructions: u64) {
         assert_eq!(self.cfg.mode, ExecMode::Native, "fast_forward supports native mode only");
-        let asid = self.proc.asid;
         // Page-level short-circuit: consecutive references to the same
         // 4KB-aligned page skip even the L2 TLB probe.
         let mut last_vpn4k = u64::MAX;
@@ -458,14 +463,9 @@ impl System {
             // payload and only touches the LRU stamp — exactly what a
             // probe hit would do. Fill/eviction statistics are clobbered,
             // but every measurement window starts with `reset_stats`.
-            let Memory::Native { aspace, .. } = &self.proc.memory else {
-                unreachable!("native flow");
-            };
-            let walk = aspace
-                .page_table
-                .walk(r.vaddr)
+            let entry = self
+                .software_entry(r.vaddr, None)
                 .unwrap_or_else(|| panic!("page fault at {}: workload touched an unmapped page", r.vaddr));
-            let entry = soft_walk_entry(r.vaddr, asid, &walk);
             // Raw fill: the eviction-side hooks (Victima background
             // walks, POM spills) are timing/traffic mechanisms and stay
             // off in functional mode.
@@ -572,14 +572,14 @@ impl System {
         let ifetch_lat = self.ifetch(r.pc);
 
         // Data side.
-        let (pa, t_lat) = self.translate_data(r.vaddr, r.kind);
+        let (pa, t_lat) = self.translate_data(r.vaddr);
         let ctx = self.epoch.ctx();
         let res = self.hier.access_pc(pa, r.kind.is_write(), MemClass::Data, r.pc, &ctx);
         if matches!(res.served_by, MemLevel::L3 | MemLevel::Dram) {
             self.epoch.on_l2_cache_miss();
         }
         if self.tracker.is_some() {
-            let size = self.page_size_of(r.vaddr);
+            let size = self.page_size_at(r.vaddr).unwrap_or(PageSize::Size4K);
             let asid = self.proc.asid;
             if let Some(t) = self.tracker.as_mut() {
                 t.on_access(asid, r.vaddr, size);
@@ -626,10 +626,7 @@ impl System {
                 let entry = match self.l2_tlb.probe(vpn, self.proc.asid, PageSize::Size4K) {
                     Some(e) => e,
                     None => {
-                        let res = match self.cfg.mode {
-                            ExecMode::Native => self.resolve_l2_miss(va),
-                            _ => self.resolve_l2_miss_virt(va),
-                        };
+                        let res = self.resolve_l2_miss(va);
                         lat += res.latency;
                         self.fill_l2_tlb(res.entry);
                         res.entry
@@ -647,16 +644,16 @@ impl System {
 
     /// Full data-side translation. Returns the physical address and the
     /// translation latency beyond the (pipelined) L1 TLB hit.
-    pub(crate) fn translate_data(&mut self, va: VirtAddr, _kind: AccessKind) -> (PhysAddr, Cycles) {
+    pub(crate) fn translate_data(&mut self, va: VirtAddr) -> (PhysAddr, Cycles) {
         // L1 D-TLBs, one per page size, probed in parallel (1 cycle,
         // hidden in the pipeline).
         if let Some(e) = self.dtlb4k.probe(va.vpn(PageSize::Size4K), self.proc.asid, PageSize::Size4K) {
             self.stats.l1_tlb_hits += 1;
-            return (self.entry_pa(&e, va), 0);
+            return (entry_pa(&e, va), 0);
         }
         if let Some(e) = self.dtlb2m.probe(va.vpn(PageSize::Size2M), self.proc.asid, PageSize::Size2M) {
             self.stats.l1_tlb_hits += 1;
-            return (self.entry_pa(&e, va), 0);
+            return (entry_pa(&e, va), 0);
         }
         self.stats.l1_tlb_misses += 1;
 
@@ -667,16 +664,13 @@ impl System {
                 self.stats.l2_tlb_hits += 1;
                 self.fill_l1(e);
                 self.track_l1_miss(va, size);
-                return (self.entry_pa(&e, va), latency);
+                return (entry_pa(&e, va), latency);
             }
         }
         self.stats.l2_tlb_misses += 1;
         self.epoch.on_l2_tlb_miss();
 
-        let res = match self.cfg.mode {
-            ExecMode::Native => self.resolve_l2_miss(va),
-            _ => self.resolve_l2_miss_virt(va),
-        };
+        let res = self.resolve_l2_miss(va);
         latency += res.latency;
         self.stats.l2_miss_latency_sum += res.latency;
         self.stats.l2_miss_latency_hist.record(res.latency);
@@ -689,13 +683,13 @@ impl System {
         self.fill_l1(res.entry);
         self.track_l1_miss(va, res.entry.size);
         self.track_l2_miss(va, res.entry.size);
-        (self.entry_pa(&res.entry, va), latency)
+        (entry_pa(&res.entry, va), latency)
     }
 
     /// Translates once (public hook for tests and examples): runs the full
     /// translation path with timing and returns the physical address.
     pub fn translate_once(&mut self, va: VirtAddr) -> PhysAddr {
-        self.translate_data(va, AccessKind::Load).0
+        self.translate_data(va).0
     }
 
     /// Ground-truth translation straight from the page tables (no timing,
@@ -713,30 +707,6 @@ impl System {
         match &self.proc.memory {
             Memory::Native { aspace, .. } => aspace.page_table.translate(va).map(|(_, s)| s),
             Memory::Virt { nested } => nested.guest.page_table.translate(va).map(|(_, s)| s),
-        }
-    }
-
-    #[inline]
-    fn entry_pa(&self, e: &TlbEntry, va: VirtAddr) -> PhysAddr {
-        match e.size {
-            PageSize::Size4K => {
-                PhysAddr::from_frame(e.frame, PageSize::Size4K, va.page_offset(PageSize::Size4K))
-            }
-            PageSize::Size2M => {
-                PhysAddr::from_frame(e.frame >> 9, PageSize::Size2M, va.page_offset(PageSize::Size2M))
-            }
-        }
-    }
-
-    /// The page size backing `va` (software lookup).
-    pub(crate) fn page_size_of(&self, va: VirtAddr) -> PageSize {
-        match &self.proc.memory {
-            Memory::Native { aspace, .. } => {
-                aspace.page_table.translate(va).map(|(_, s)| s).unwrap_or(PageSize::Size4K)
-            }
-            Memory::Virt { nested } => {
-                nested.guest.page_table.translate(va).map(|(_, s)| s).unwrap_or(PageSize::Size4K)
-            }
         }
     }
 
@@ -762,57 +732,46 @@ impl System {
         }
     }
 
-    /// Fills the L2 TLB and runs the eviction-side hooks (Victima's
-    /// background-walk flow, POM-TLB's spill).
+    /// Fills the L2 TLB and runs the eviction-side hooks (POM-TLB's spill,
+    /// then Victima's eviction flow).
     pub(crate) fn fill_l2_tlb(&mut self, e: TlbEntry) {
         let Some(ev) = self.l2_tlb.fill(e) else {
             return;
         };
-        let ev_va = VirtAddr::new(ev.vpn << ev.size.shift());
         if let Some(t) = self.tracker.as_mut() {
-            t.on_l2_tlb_eviction(ev.asid, ev_va, ev.size);
+            t.on_l2_tlb_eviction(ev.asid, VirtAddr::new(ev.vpn << ev.size.shift()), ev.size);
         }
-        match &self.cfg.mechanism {
-            TranslationMechanism::PomTlb(_) => {
-                // Spill the evicted entry to the in-memory TLB (off the
-                // critical path: traffic only).
-                if let Some(pom) = self.pom.as_mut() {
-                    let line = pom.insert(ev.vpn, ev.asid, ev.size, ev.frame);
-                    let ctx = self.epoch.ctx();
-                    self.hier.access(line, true, MemClass::PomTlb, &ctx);
-                }
-            }
-            TranslationMechanism::Victima(_) | TranslationMechanism::VictimaAgnostic(_) => {
-                self.victima_eviction_flow(ev, ev_va);
-            }
-            TranslationMechanism::VictimaPom(..) => {
-                if let Some(pom) = self.pom.as_mut() {
-                    let line = pom.insert(ev.vpn, ev.asid, ev.size, ev.frame);
-                    let ctx = self.epoch.ctx();
-                    self.hier.access(line, true, MemClass::PomTlb, &ctx);
-                }
-                self.victima_eviction_flow(ev, ev_va);
-            }
-            _ => {}
+        // Spill the evicted entry to the in-memory TLB (off the critical
+        // path: traffic only).
+        if let Some(pom) = self.pom.as_mut() {
+            let line = pom.insert(ev.vpn, ev.asid, ev.size, ev.frame);
+            let ctx = self.epoch.ctx();
+            self.hier.access(line, true, MemClass::PomTlb, &ctx);
+        }
+        if self.victima.is_some() {
+            self.victima_eviction_flow(BlockKind::Tlb, ev);
         }
     }
 
-    /// Victima's L2-TLB-eviction flow: predictor + background walk +
-    /// block transformation (Fig. 14, right path). The background walk
-    /// generates real cache traffic but no core stall.
-    fn victima_eviction_flow(&mut self, ev: TlbEntry, ev_va: VirtAddr) {
-        if self.cfg.mode != ExecMode::Native {
-            self.victima_eviction_flow_virt(ev, ev_va);
-            return;
-        }
+    /// Victima's eviction flow (Fig. 14, right path) for an entry `ev`
+    /// displaced from the L2 TLB ([`BlockKind::Tlb`]) or the nested TLB
+    /// ([`BlockKind::NestedTlb`]): predictor check, background walk, block
+    /// insert. The background walk generates real cache traffic but no
+    /// core stall.
+    pub(crate) fn victima_eviction_flow(&mut self, kind: BlockKind, ev: TlbEntry) {
+        let ev_va = VirtAddr::new(ev.vpn << ev.size.shift());
+        let guest_2d = kind == BlockKind::Tlb && self.cfg.mode == ExecMode::VirtualizedNested;
+        // Composed gVA→hPA entries may be splintered; a guest TLB block is
+        // keyed by the guest page size.
+        let view = if guest_2d { self.page_size_at(ev_va).unwrap_or(PageSize::Size4K) } else { ev.size };
         let ctx = self.epoch.ctx();
         let v = self.victima.as_mut().expect("victima mechanism has an engine");
         if !v.wants_eviction_insert(
             self.hier.l2(),
             ev_va,
             ev.asid,
-            BlockKind::Tlb,
-            ev.size,
+            kind,
+            view,
             ev.ptw_freq,
             ev.ptw_cost,
             &ctx,
@@ -820,55 +779,63 @@ impl System {
             return;
         }
         self.stats.victima_background_walks += 1;
-        let Memory::Native { aspace, .. } = &mut self.proc.memory else {
-            unreachable!("native flow");
+        let walk = if guest_2d {
+            // A background 2D walk. Guest-side background walks share the
+            // demand walker's PWC (native ones use `bg_walker`): a private
+            // guest PWC would move every virtualised Victima result.
+            Some(self.nested_walk(ev_va, false).0)
+        } else {
+            let table = self.proc.memory.radix_mut(kind);
+            self.bg_walker.walk(table, ev_va, ev.asid, &mut self.hier, &ctx)
         };
-        let walk = self.bg_walker.walk(&mut aspace.page_table, ev_va, ev.asid, &mut self.hier, &ctx);
         if let Some(w) = walk {
             let v = self.victima.as_mut().expect("checked above");
-            if v.insert_after_eviction_walk(self.hier.l2_mut(), ev_va, ev.asid, BlockKind::Tlb, &w, &ctx) {
+            if v.insert_after_eviction_walk(self.hier.l2_mut(), ev_va, ev.asid, kind, &w, &ctx) {
                 self.stats.victima_inserts += 1;
             }
         }
     }
 
-    /// Resolves an L2 TLB miss in native mode.
+    /// Resolves an L2 TLB miss: the one backstop chain of every execution
+    /// mode (DESIGN.md, "Translation path"). Each step runs only when its
+    /// component is configured; the first that yields the translation
+    /// ends the chain.
     pub(crate) fn resolve_l2_miss(&mut self, va: VirtAddr) -> MissResolution {
-        debug_assert_eq!(self.cfg.mode, ExecMode::Native);
         let ctx = self.epoch.ctx();
+        let asid = self.proc.asid;
         let mut latency: Cycles = 0;
         let mut components = [0u64; 4];
 
-        // Hardware L3 TLB (Fig. 8 design point).
+        // 1. Hardware L3 TLB (Fig. 8 design point).
         if let Some(l3) = self.l3_tlb.as_mut() {
             latency += l3.latency();
             components[2] += l3.latency();
             for size in PageSize::ALL {
-                if let Some(e) = l3.probe(va.vpn(size), self.proc.asid, size) {
+                if let Some(e) = l3.probe(va.vpn(size), asid, size) {
                     self.stats.l3_tlb_hits += 1;
                     return MissResolution { entry: e, latency, components };
                 }
             }
         }
 
-        // Fig. 10 ideal backstop: a fixed-latency oracle.
-        if let TranslationMechanism::IdealBackstop(l) = self.cfg.mechanism {
+        // 2. Fig. 10 ideal backstop: a fixed-latency oracle.
+        if let Some(l) = self.ideal_backstop {
             latency += l;
             components[1] += l;
-            let entry = self.software_entry(va);
+            let entry = self.software_entry(va, None).expect("mapped");
             return MissResolution { entry, latency, components };
         }
 
-        // Victima: probe the L2 cache for a TLB block in parallel with the
-        // walk (Fig. 17). A tag hit still requires the cluster's PTE to
-        // actually map this VA (a 2MB-view block spans 16MB that may also
-        // contain 4KB-mapped chunks); on a stale view the parallel PTW
-        // simply continues, costing nothing extra.
+        // 3. Victima: probe the L2 cache for a TLB block in parallel with
+        // the walk (Figs. 17/19). A tag hit still requires the cluster's
+        // PTE to actually map this VA (a 2MB-view block spans 16MB that
+        // may also contain 4KB-mapped chunks); on a stale view the
+        // parallel PTW simply continues, costing nothing extra. One
+        // software lookup validates the view *and* composes the entry (the
+        // hardware reads the PTE out of the hit block).
         if let Some(v) = self.victima.as_mut() {
-            if let Some(hit) = v.probe(self.hier.l2_mut(), va, self.proc.asid, BlockKind::Tlb, &ctx) {
-                // One software walk validates the view *and* composes the
-                // entry (the hardware reads the PTE out of the hit block).
-                if let Some(entry) = self.software_entry_if_sized(va, hit.size) {
+            if let Some(hit) = v.probe(self.hier.l2_mut(), va, asid, BlockKind::Tlb, &ctx) {
+                if let Some(entry) = self.software_entry(va, Some(hit.size)) {
                     let l2c = self.hier.l2().latency();
                     latency += l2c;
                     components[1] += l2c;
@@ -878,17 +845,17 @@ impl System {
             }
         }
 
-        // POM-TLB lookup (two parallel per-size probes through the data
+        // 4. POM-TLB lookup (two parallel per-size probes through the data
         // hierarchy).
         if let Some(pom) = self.pom.as_mut() {
             let mut hit: Option<TlbEntry> = None;
             let mut pom_lat: Cycles = 0;
             for size in PageSize::ALL {
-                let lk = pom.lookup(va.vpn(size), self.proc.asid, size);
+                let lk = pom.lookup(va.vpn(size), asid, size);
                 let r = self.hier.access(lk.line, false, MemClass::PomTlb, &ctx);
                 pom_lat = pom_lat.max(r.latency);
                 if let Some(frame) = lk.frame {
-                    hit = Some(TlbEntry::new(va.vpn(size), self.proc.asid, size, frame));
+                    hit = Some(TlbEntry::new(va.vpn(size), asid, size, frame));
                     break;
                 }
             }
@@ -899,32 +866,20 @@ impl System {
             }
         }
 
-        // The page-table walk.
-        let Memory::Native { aspace, .. } = &mut self.proc.memory else {
-            unreachable!("native flow");
-        };
-        let walk = self
-            .walker
-            .walk(&mut aspace.page_table, va, self.proc.asid, &mut self.hier, &ctx)
-            .unwrap_or_else(|| panic!("page fault at {va}: workload touched an unmapped page"));
+        // 5. The demand page-table walk.
+        let (walk, entry, host_lat) = self.demand_walk(va);
+
+        // 6. Walk statistics, then the feature tracker.
         self.stats.record_walk(&walk);
-        latency += walk.latency;
+        latency += walk.latency + host_lat;
         components[2] += walk.latency;
+        components[3] += host_lat;
         if let Some(t) = self.tracker.as_mut() {
             let pwc_hit = walk.served_by_pwc();
-            t.on_walk(self.proc.asid, va, walk.page_size, walk.latency, walk.dram_touched, pwc_hit);
+            t.on_walk(asid, va, walk.page_size, walk.latency, walk.dram_touched, pwc_hit);
         }
 
-        let entry = TlbEntry::with_counters(
-            va.vpn(walk.page_size),
-            self.proc.asid,
-            walk.page_size,
-            walk.frame,
-            walk.leaf_pte.ptw_freq(),
-            walk.leaf_pte.ptw_cost(),
-        );
-
-        // Post-walk insertions.
+        // 7. Post-walk insertions.
         if let Some(l3) = self.l3_tlb.as_mut() {
             l3.fill(entry);
         }
@@ -933,35 +888,61 @@ impl System {
             self.hier.access(line, true, MemClass::PomTlb, &ctx);
         }
         if let Some(v) = self.victima.as_mut() {
-            if v.insert_after_walk(self.hier.l2_mut(), va, self.proc.asid, BlockKind::Tlb, &walk, &ctx) {
+            if v.insert_after_walk(self.hier.l2_mut(), va, asid, BlockKind::Tlb, &walk, &ctx) {
                 self.stats.victima_inserts += 1;
             }
         }
         MissResolution { entry, latency, components }
     }
 
-    /// Builds a TLB entry from the page table without timing (used by the
-    /// ideal backstop and by Victima probe hits, where the hardware reads
-    /// the PTE straight out of the hit block).
-    pub(crate) fn software_entry(&self, va: VirtAddr) -> TlbEntry {
-        let Memory::Native { aspace, .. } = &self.proc.memory else {
-            unreachable!("native helper");
-        };
-        let walk = aspace.page_table.walk(va).expect("mapped");
-        soft_walk_entry(va, self.proc.asid, &walk)
+    /// Mode hook (b) of the chain: the demand walk. Returns the walk (in a
+    /// guest VM its guest dimension, leaf PTE address host-physical), the
+    /// TLB entry it yields, and the host-translation latency on top of
+    /// the walk's own.
+    fn demand_walk(&mut self, va: VirtAddr) -> (WalkOutcome, TlbEntry, Cycles) {
+        match self.cfg.mode {
+            ExecMode::VirtualizedNested => self.nested_walk(va, true),
+            // I-SP: one four-level walk of the shadow table (gVA → hPA);
+            // shadow maintenance is free by definition of the ideal baseline.
+            ExecMode::Native | ExecMode::VirtualizedShadow => {
+                let ctx = self.epoch.ctx();
+                let asid = self.proc.asid;
+                let table = self.proc.memory.radix_mut(BlockKind::Tlb);
+                let walk = self
+                    .walker
+                    .walk(table, va, asid, &mut self.hier, &ctx)
+                    .unwrap_or_else(|| panic!("page fault at {va}: workload touched an unmapped page"));
+                let entry = leaf_entry(va, asid, walk.page_size, walk.frame, walk.leaf_pte);
+                (walk, entry, 0)
+            }
+        }
     }
 
-    /// Composes the TLB entry for `va` when the mapping's page size
-    /// matches `size` — the Victima probe-hit view validation. One radix
-    /// walk serves both the size check and the entry composition (this
-    /// used to be two back-to-back software walks: `page_size_of` followed
-    /// by a `software_entry` re-walk).
-    pub(crate) fn software_entry_if_sized(&self, va: VirtAddr, size: PageSize) -> Option<TlbEntry> {
-        let Memory::Native { aspace, .. } = &self.proc.memory else {
-            unreachable!("native helper");
-        };
-        let walk = aspace.page_table.walk(va)?;
-        (walk.page_size == size).then(|| soft_walk_entry(va, self.proc.asid, &walk))
+    /// Mode hook (a) of the chain: the TLB entry for `va`, composed in
+    /// software without timing (the ideal backstop, fast-forwarding, and
+    /// Victima probe hits, where the hardware reads the PTE straight out
+    /// of the hit block). With a `view`, `None` unless the mapping's page
+    /// size (the guest page size in a VM) equals it: one lookup serves
+    /// both the view validation and the entry composition.
+    fn software_entry(&self, va: VirtAddr, view: Option<PageSize>) -> Option<TlbEntry> {
+        let asid = self.proc.asid;
+        match &self.proc.memory {
+            Memory::Native { aspace, .. } => {
+                let walk = aspace.page_table.walk(va)?;
+                view.is_none_or(|s| s == walk.page_size)
+                    .then(|| leaf_entry(va, asid, walk.page_size, walk.frame, walk.leaf_pte))
+            }
+            // Virtualised TLB blocks store *direct* gVA→hPA mappings
+            // (Fig. 19): the entry is the composed translation.
+            Memory::Virt { nested } => {
+                let (gpa, gsize) = nested.guest.page_table.translate(va)?;
+                if view.is_some_and(|s| s != gsize) {
+                    return None;
+                }
+                let (size, frame) = crate::virt::composed_mapping(nested, gpa, gsize);
+                Some(TlbEntry::new(va.vpn(size), asid, size, frame))
+            }
+        }
     }
 
     /// Finalises aggregate statistics from component counters. Call after
@@ -1101,15 +1082,20 @@ impl System {
     }
 }
 
-/// Composes a TLB entry from a completed software radix walk.
+/// The TLB entry mapping `va` at `size` to `frame`, carrying the leaf
+/// PTE's predictor-counter snapshots.
 #[inline]
-pub(crate) fn soft_walk_entry(va: VirtAddr, asid: Asid, walk: &page_table::Walk) -> TlbEntry {
-    TlbEntry::with_counters(
-        va.vpn(walk.page_size),
-        asid,
-        walk.page_size,
-        walk.frame,
-        walk.leaf_pte.ptw_freq(),
-        walk.leaf_pte.ptw_cost(),
-    )
+pub(crate) fn leaf_entry(va: VirtAddr, asid: Asid, size: PageSize, frame: u64, leaf: Pte) -> TlbEntry {
+    TlbEntry::with_counters(va.vpn(size), asid, size, frame, leaf.ptw_freq(), leaf.ptw_cost())
+}
+
+/// The physical address of `va` under the translation `e`.
+#[inline]
+pub(crate) fn entry_pa(e: &TlbEntry, va: VirtAddr) -> PhysAddr {
+    match e.size {
+        PageSize::Size4K => PhysAddr::from_frame(e.frame, PageSize::Size4K, va.page_offset(PageSize::Size4K)),
+        PageSize::Size2M => {
+            PhysAddr::from_frame(e.frame >> 9, PageSize::Size2M, va.page_offset(PageSize::Size2M))
+        }
+    }
 }

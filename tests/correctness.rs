@@ -51,8 +51,9 @@ fn probe_system(cfg: SystemConfig) -> (System, VirtAddr, u64) {
 }
 
 /// Exhaustive agreement between the timed translation path and ground
-/// truth, for every mechanism, while the system is running (so TLBs,
-/// POM-TLB and TLB blocks are all warm and in arbitrary states).
+/// truth, for every mechanism in every execution mode, while the system
+/// is running (so TLBs, POM-TLB and TLB blocks are all warm and in
+/// arbitrary states).
 #[test]
 fn translation_agrees_with_ground_truth_under_all_mechanisms() {
     let configs = [
@@ -61,6 +62,12 @@ fn translation_agrees_with_ground_truth_under_all_mechanisms() {
         SystemConfig::pom_tlb(),
         SystemConfig::victima(),
         SystemConfig::victima_agnostic_srrip(),
+        SystemConfig::victima_plus_stlb(),
+        SystemConfig::ideal_backstop(30, "Ideal-30"),
+        SystemConfig::nested_paging(),
+        SystemConfig::pom_tlb_virt(),
+        SystemConfig::ideal_shadow_paging(),
+        SystemConfig::victima_virt(),
     ];
     let mut rng = SplitMix64::new(42);
     for cfg in configs {

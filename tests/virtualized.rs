@@ -3,8 +3,8 @@
 //! paging and virtualised Victima, and the virtualised mechanisms must
 //! show the paper's qualitative behaviour.
 
-use victima_repro::sim::{Runner, SystemConfig};
-use victima_repro::workloads::Scale;
+use victima_repro::sim::{ExecMode, Runner, System, SystemConfig};
+use victima_repro::workloads::{registry, Scale};
 
 fn tiny_runner() -> Runner {
     Runner::with_budget(Scale::Tiny, 10_000, 120_000)
@@ -68,6 +68,17 @@ fn shadow_paging_matches_nested_translation() {
             checked += 1;
         }
     }
+}
+
+/// The Fig. 10 ideal backstop is a native-mode study: asking for it in a
+/// guest VM must fail loudly at construction, not silently simulate plain
+/// nested paging.
+#[test]
+#[should_panic(expected = "native-mode study")]
+fn ideal_backstop_is_rejected_in_virtualized_mode() {
+    let mut cfg = SystemConfig::ideal_backstop(30, "Ideal-30");
+    cfg.mode = ExecMode::VirtualizedNested;
+    let _ = System::new(cfg, registry::by_name("RND", Scale::Tiny).expect("registry workload"));
 }
 
 #[test]
