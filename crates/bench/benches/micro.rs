@@ -10,7 +10,7 @@ use mem_sim::{BlockKind, Cache, CacheConfig, Hierarchy, HierarchyConfig, MemClas
 use page_table::{FrameAllocator, RadixPageTable};
 use std::hint::black_box;
 use std::time::Instant;
-use tlb_sim::{PageTableWalker, SetAssocTlb, TlbConfig, TlbEntry};
+use tlb_sim::{MmuConfig, PageTableWalker, SetAssocTlb, TlbConfig, TlbEntry};
 use victima::{tlb_block, Victima};
 use vm_types::{Asid, PageSize, PhysAddr, SplitMix64, VirtAddr};
 
@@ -75,6 +75,16 @@ fn main() {
         black_box(fill_cache.fill_data(PhysAddr::new(next_pa), false, false, &ctx));
     });
 
+    let mut l1 = Cache::new(HierarchyConfig::default().l1d, Policy::lru());
+    let mut rng_l = SplitMix64::new(13);
+    // The 8-way L1 geometry with every set full: each fill is an LRU
+    // victim selection plus an eviction (fresh addresses never hit).
+    let mut next_l1 = 0u64;
+    bench(&filter, "cache_fill_full_lru", 4_000_000, || {
+        next_l1 = next_l1.wrapping_add(rng_l.next_below(1 << 20) | 64) & !63;
+        black_box(l1.fill_data(PhysAddr::new(next_l1), false, false, &ctx));
+    });
+
     let mut hier = Hierarchy::new(HierarchyConfig::default());
     let mut rng2 = SplitMix64::new(2);
     bench(&filter, "hierarchy_access_random", 1_000_000, || {
@@ -91,6 +101,20 @@ fn main() {
     bench(&filter, "l2_tlb_probe", 5_000_000, || {
         let vpn = rng3.next_below(4096);
         black_box(tlb.probe(vpn, asid, PageSize::Size4K));
+    });
+
+    // The I-TLB's common case: the same code page probed back to back.
+    // Its set is full and the page sits in the last way, so a probe that
+    // scans pays for the whole set.
+    let itlb_cfg = MmuConfig::baseline().l1_itlb;
+    let itlb_sets = (itlb_cfg.entries / itlb_cfg.ways) as u64;
+    let mut itlb = SetAssocTlb::new(itlb_cfg.clone());
+    for vpn in 0..itlb_cfg.entries as u64 {
+        itlb.fill(TlbEntry::new(vpn, asid, PageSize::Size4K, vpn));
+    }
+    let code_vpn = (itlb_cfg.ways as u64 - 1) * itlb_sets;
+    bench(&filter, "itlb_probe_same_page", 10_000_000, || {
+        black_box(itlb.probe(black_box(code_vpn), asid, PageSize::Size4K));
     });
 
     let mut alloc = FrameAllocator::new(4 << 30, 4);

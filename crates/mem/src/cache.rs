@@ -124,6 +124,14 @@ pub struct Cache {
     tag_shift: u32,
     /// Packed presence words, one per way: the only per-access array.
     words: Vec<u64>,
+    /// Per set, how many leading ways may be valid: every way at or past
+    /// a set's level is invalid, so lookups scan only below it. Fills take
+    /// the first invalid way, so a set's level only grows, one way per
+    /// fill, until the set is full; a cache that is still warming up (a
+    /// Tiny-scale run touches a fraction of the 2 MB L2) scans a few ways
+    /// per lookup instead of all of them. Derived state: recomputed on
+    /// restore, never checkpointed.
+    levels: Vec<u16>,
     /// Packed per-way LRU stamps; allocated only for [`Policy::Lru`]
     /// caches (the SRRIP family never reads them, and the empty `Vec`
     /// keeps a big L2/L3's footprint out of the host's caches).
@@ -153,6 +161,7 @@ impl Cache {
     pub fn new(cfg: CacheConfig, policy: Policy) -> Self {
         let num_sets = cfg.num_sets();
         assert!(cfg.block_bytes.is_power_of_two(), "{}: block size must be a power of two", cfg.name);
+        assert!(cfg.ways <= 256, "{}: victim folds carry the way index in 8 bits", cfg.name);
         let n = num_sets * cfg.ways;
         let block_shift = cfg.block_bytes.trailing_zeros();
         Self {
@@ -160,6 +169,7 @@ impl Cache {
             block_shift,
             tag_shift: block_shift + num_sets.trailing_zeros(),
             words: vec![INVALID_WORD; n],
+            levels: vec![0; num_sets],
             lru: if matches!(policy, Policy::Lru { .. }) { vec![0; n] } else { Vec::new() },
             num_sets,
             cfg,
@@ -220,11 +230,12 @@ impl Cache {
         pa.raw() >> self.tag_shift
     }
 
-    /// Scans one set's presence words for the identity `key` (counter and
-    /// flag bits masked out); returns the way.
+    /// Scans the possibly valid ways of `set` for the identity `key`
+    /// (counter and flag bits masked out); returns the way.
     #[inline]
-    fn find(&self, start: usize, key: u64) -> Option<usize> {
-        self.words[start..start + self.cfg.ways].iter().position(|&w| w & WORD_KEY_MASK == key)
+    fn find(&self, set: usize, key: u64) -> Option<usize> {
+        let start = set * self.cfg.ways;
+        self.words[start..start + self.levels[set] as usize].iter().position(|&w| w & WORD_KEY_MASK == key)
     }
 
     /// Materialises the reporting record for way `i`.
@@ -261,10 +272,12 @@ impl Cache {
     /// Demand data access. Returns `true` on hit and updates replacement /
     /// reuse state; on a miss the caller is expected to fetch the line from
     /// the next level and call [`Cache::fill_data`].
+    #[inline]
     pub fn access_data(&mut self, pa: PhysAddr, write: bool, ctx: &ReplacementCtx) -> bool {
-        let start = self.data_set_index(pa) * self.cfg.ways;
-        match self.find(start, pack_data_word(self.data_tag(pa))) {
+        let set = self.data_set_index(pa);
+        match self.find(set, pack_data_word(self.data_tag(pa))) {
             Some(w) => {
+                let start = set * self.cfg.ways;
                 self.stats.hits += 1;
                 let word = &mut self.words[start + w];
                 *word = word_bump_reuse(*word);
@@ -283,13 +296,14 @@ impl Cache {
     }
 
     /// Non-destructive data probe: no stats, no replacement update.
+    #[inline]
     pub fn contains_data(&self, pa: PhysAddr) -> bool {
-        let start = self.data_set_index(pa) * self.cfg.ways;
-        self.find(start, pack_data_word(self.data_tag(pa))).is_some()
+        self.find(self.data_set_index(pa), pack_data_word(self.data_tag(pa))).is_some()
     }
 
     /// Fills a data line after a miss. Returns the displaced block, if any
     /// valid line had to be evicted.
+    #[inline]
     pub fn fill_data(
         &mut self,
         pa: PhysAddr,
@@ -300,6 +314,23 @@ impl Cache {
         let set = self.data_set_index(pa);
         let tag = self.data_tag(pa);
         self.fill_at(set, tag, BlockKind::Data, Asid::KERNEL, PageSize::Size4K, dirty, prefetched, ctx)
+    }
+
+    /// Prefetch fill: fills a clean data line marked as prefetched unless
+    /// the cache already holds it. This is the prefetch path's
+    /// [`Cache::contains_data`] + [`Cache::fill_data`] pair as one call
+    /// that computes the set index and tag once. Returns whether a fill
+    /// happened; the displaced block, if any, is accounted in the
+    /// statistics only.
+    #[inline]
+    pub fn fill_data_if_absent(&mut self, pa: PhysAddr, ctx: &ReplacementCtx) -> bool {
+        let set = self.data_set_index(pa);
+        let tag = self.data_tag(pa);
+        if self.find(set, pack_data_word(tag)).is_some() {
+            return false;
+        }
+        self.fill_at(set, tag, BlockKind::Data, Asid::KERNEL, PageSize::Size4K, false, true, ctx);
+        true
     }
 
     /// Typed probe used by Victima: looks up a translation block by
@@ -315,9 +346,9 @@ impl Cache {
         ctx: &ReplacementCtx,
     ) -> bool {
         debug_assert!(kind.is_translation());
-        let start = set * self.cfg.ways;
-        match self.find(start, pack_word(tag, kind, asid, size)) {
+        match self.find(set, pack_word(tag, kind, asid, size)) {
             Some(w) => {
+                let start = set * self.cfg.ways;
                 self.stats.tlb_probe_hits += 1;
                 let word = &mut self.words[start + w];
                 *word = word_bump_reuse(*word);
@@ -341,7 +372,7 @@ impl Cache {
         asid: Asid,
         size: PageSize,
     ) -> bool {
-        self.find(set * self.cfg.ways, pack_word(tag, kind, asid, size)).is_some()
+        self.find(set, pack_word(tag, kind, asid, size)).is_some()
     }
 
     /// Inserts a translation block at the given (virtually indexed) set.
@@ -380,11 +411,13 @@ impl Cache {
             let (mut set, policy) = self.set_repl(start);
             policy.choose_victim(&mut set, ctx)
         };
+        let level = &mut self.levels[set];
+        *level = (*level).max(victim_way as u16 + 1);
         let victim = start + victim_way;
-        let evicted = word_is_valid(self.words[victim]).then(|| {
-            let block = self.block_at(victim);
-            self.account_eviction(&block);
-            EvictedBlock { block }
+        let old = self.words[victim];
+        let evicted = word_is_valid(old).then(|| {
+            self.account_eviction(old);
+            EvictedBlock { block: self.block_at(victim) }
         });
         self.words[victim] = pack_word_flags(tag, kind, asid, size, dirty, prefetched);
         if kind.is_translation() {
@@ -400,18 +433,20 @@ impl Cache {
         evicted
     }
 
-    fn account_eviction(&mut self, block: &CacheBlock) {
+    /// Accounts the eviction of the valid presence word `word` straight
+    /// from its packed fields.
+    fn account_eviction(&mut self, word: u64) {
         self.stats.evictions += 1;
-        if block.dirty {
+        if word_dirty(word) {
             self.stats.writebacks += 1;
         }
-        match block.kind {
-            BlockKind::Data => self.stats.data_reuse.record(block.reuse as u64),
-            BlockKind::Tlb | BlockKind::NestedTlb => {
-                self.stats.tlb_reuse.record(block.reuse as u64);
-                self.stats.tlb_block_evictions += 1;
-                self.translation_blocks = self.translation_blocks.saturating_sub(1);
-            }
+        let reuse = word_reuse(word) as u64;
+        if word_is_translation(word) {
+            self.stats.tlb_reuse.record(reuse);
+            self.stats.tlb_block_evictions += 1;
+            self.translation_blocks = self.translation_blocks.saturating_sub(1);
+        } else {
+            self.stats.data_reuse.record(reuse);
         }
     }
 
@@ -419,10 +454,10 @@ impl Cache {
     /// a block was invalidated. Used by Victima's block transformation: the
     /// PTE cluster's data copy is re-tagged as a TLB block.
     pub fn invalidate_data(&mut self, pa: PhysAddr) -> bool {
-        let start = self.data_set_index(pa) * self.cfg.ways;
-        match self.find(start, pack_data_word(self.data_tag(pa))) {
+        let set = self.data_set_index(pa);
+        match self.find(set, pack_data_word(self.data_tag(pa))) {
             Some(w) => {
-                self.words[start + w] = INVALID_WORD;
+                self.words[set * self.cfg.ways + w] = INVALID_WORD;
                 true
             }
             None => false,
@@ -440,10 +475,9 @@ impl Cache {
         asid: Asid,
         size: PageSize,
     ) -> bool {
-        let start = set * self.cfg.ways;
-        match self.find(start, pack_word(tag, kind, asid, size)) {
+        match self.find(set, pack_word(tag, kind, asid, size)) {
             Some(w) => {
-                self.words[start + w] = INVALID_WORD;
+                self.words[set * self.cfg.ways + w] = INVALID_WORD;
                 self.translation_blocks = self.translation_blocks.saturating_sub(1);
                 true
             }
@@ -522,15 +556,26 @@ impl Cache {
         let n = self.words.len();
         self.words.copy_from_slice(&words[1..1 + n]);
         self.lru.copy_from_slice(&words[1 + n..]);
+        for (level, set) in self.levels.iter_mut().zip(self.words.chunks_exact(self.cfg.ways)) {
+            *level = set.iter().rposition(|&w| word_is_valid(w)).map_or(0, |w| w as u16 + 1);
+        }
         self.translation_blocks = self.words.iter().filter(|&&w| word_is_translation(w)).count();
         Ok(())
     }
 
     /// Consistency check (tests): the translation-block counter must
-    /// match the packed population.
+    /// match the packed population, and no way at or past its set's level
+    /// may be valid.
     pub fn assert_packed_consistency(&self) {
         let translations = self.words.iter().filter(|&&w| word_is_translation(w)).count();
         assert_eq!(translations, self.translation_blocks, "translation block count diverged");
+        for (set, words) in self.words.chunks_exact(self.cfg.ways).enumerate() {
+            let level = self.levels[set] as usize;
+            assert!(
+                words[level..].iter().all(|&w| !word_is_valid(w)),
+                "set {set}: valid way past level {level}"
+            );
+        }
     }
 }
 

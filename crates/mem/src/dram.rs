@@ -63,6 +63,7 @@ impl Dram {
     }
 
     /// Performs one access and returns its latency.
+    #[inline]
     pub fn access(&mut self, pa: PhysAddr) -> Cycles {
         self.stats.accesses += 1;
         let bank = (pa.raw() >> self.cfg.row_shift) as usize & (self.cfg.banks - 1);

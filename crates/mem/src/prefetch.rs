@@ -49,6 +49,7 @@ impl IpStridePrefetcher {
 
     /// Trains on a demand access and possibly returns one prefetch
     /// candidate (the next block in the detected stride, within the page).
+    #[inline]
     pub fn train(&mut self, pc: u64, pa: PhysAddr) -> Option<PhysAddr> {
         let idx = (vm_types::mix64(pc) as usize) & self.mask;
         let e = &mut self.entries[idx];
@@ -169,6 +170,7 @@ impl StreamPrefetcher {
     /// caller-owned `out` buffer. The buffer is *not* cleared — callers
     /// clear and reuse one scratch `Vec` across misses, keeping the miss
     /// path allocation-free in steady state.
+    #[inline]
     pub fn train_into(&mut self, pa: PhysAddr, out: &mut Vec<PhysAddr>) {
         let block = pa.raw() / CACHE_BLOCK_BYTES;
         // Find a stream whose head is within 4 blocks of this miss. Only
@@ -208,7 +210,10 @@ impl StreamPrefetcher {
         }
         // Allocate a new stream (round-robin victim).
         let victim = self.next_victim;
-        self.next_victim = (self.next_victim + 1) % self.last_block.len();
+        self.next_victim += 1;
+        if self.next_victim == self.last_block.len() {
+            self.next_victim = 0;
+        }
         self.last_block[victim] = block;
         self.meta[victim] = StreamMeta { direction: 1, confidence: 0 };
     }

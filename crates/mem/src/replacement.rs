@@ -11,14 +11,28 @@
 //! SRRIP counters are embedded in the packed presence words the lookup
 //! already scanned (see [`crate::block`]), and LRU stamps sit in a packed
 //! `Vec<u64>`. Victim selection therefore mutates the cache lines the
-//! probe just loaded instead of re-walking cold struct fields, and the
-//! SRRIP aging loop is folded into a closed form (one max-scan, one
-//! add-pass) rather than repeated rescans.
+//! probe just loaded instead of re-walking cold struct fields, and each
+//! policy picks its victim in one pass over the set:
+//!
+//! - The loop stops at the first invalid way, which is the victim. That
+//!   exit is the common case while a big cache is still filling (a
+//!   Tiny-scale run touches only a fraction of the 2 MB L2's 32K lines),
+//!   and it is well predicted.
+//! - Otherwise each valid way folds a rank into a running minimum, with
+//!   no data-dependent branch: SRRIP and TLB-aware SRRIP rank by RRPV
+//!   (highest first; for the TLB-aware retry, data blocks before
+//!   translation blocks), LRU by `stamp << 8 | way` as `SetAssocTlb::fill`
+//!   does; ties resolve to the lowest way. The SRRIP "age until a victim
+//!   appears" loop stays a closed form: one add-pass, only when no way
+//!   has reached [`RRIP_MAX`].
+//!
+//! The ranks carry the way index in their low 8 bits, so `Cache` caps
+//! associativity at 256.
 //!
 //! The dynamic context a policy may consult — whether address-translation
 //! pressure is currently high — travels in [`ReplacementCtx`].
 
-use crate::block::{word_is_translation, word_is_valid, word_rrip, word_with_rrip};
+use crate::block::{word_is_translation, word_is_valid, word_rrip, word_with_rrip, WORD_RRIP_SHIFT};
 
 /// Maximum re-reference prediction value for 2-bit SRRIP counters.
 pub const RRIP_MAX: u8 = 3;
@@ -158,6 +172,97 @@ impl Policy {
     #[inline]
     pub fn choose_victim(&mut self, set: &mut ReplSet<'_>, ctx: &ReplacementCtx) -> usize {
         match self {
+            Policy::Lru { .. } => lru_victim(set),
+            Policy::Srrip => srrip_victim(set, false),
+            // Listing 1 line 23: a TLB-block victim under pressure gets one
+            // more attempt at a non-TLB block that has also aged to
+            // RRIP_MAX; if none exists, the TLB block is evicted (and
+            // dropped, not written back).
+            Policy::TlbAwareSrrip => srrip_victim(set, ctx.tlb_pressure_high()),
+        }
+    }
+}
+
+/// LRU victim in one pass: the first invalid way, else the minimum of
+/// `stamp << 8 | way` — the smallest stamp, ties to the lowest way.
+/// `Cache` bounds sets to 256 ways so the index fits the low byte.
+#[inline]
+fn lru_victim(set: &ReplSet<'_>) -> usize {
+    let mut best = u64::MAX;
+    for (way, (&w, &stamp)) in set.words.iter().zip(set.lru.iter()).enumerate() {
+        if !word_is_valid(w) {
+            return way;
+        }
+        debug_assert!(stamp < 1 << 56, "LRU stamp overflows the victim fold");
+        best = best.min(stamp << 8 | way as u64);
+    }
+    (best & 0xff) as usize
+}
+
+/// SRRIP victim in one pass: the first invalid way, else the first way
+/// at the set's RRPV maximum, aging the whole set until that maximum
+/// reaches [`RRIP_MAX`]. Valid ways rank as `(RRIP_MAX - rrpv) << 9 |
+/// way` and the minimum rank wins: the highest RRPV, then the lowest way.
+/// The iterate-and-age loop is a closed form — age everyone by
+/// `RRIP_MAX - max` in one add-pass; the first way that *was* at the
+/// maximum is exactly the way the stepwise loop would have found.
+///
+/// With `divert` (TLB-aware SRRIP under translation pressure) bit 8 of a
+/// translation block's rank is set, so a *data* way at the maximum beats
+/// a translation block there: after aging those are exactly the valid
+/// non-TLB ways at `RRIP_MAX`, the alternatives Listing 1's retry
+/// searches for.
+#[inline]
+fn srrip_victim(set: &mut ReplSet<'_>, divert: bool) -> usize {
+    let mut best = u64::MAX;
+    for (way, &w) in set.words.iter().enumerate() {
+        if !word_is_valid(w) {
+            return way;
+        }
+        let tlb = (divert && word_is_translation(w)) as u64;
+        best = best.min(((RRIP_MAX - word_rrip(w)) as u64) << 9 | tlb << 8 | way as u64);
+    }
+    let max = RRIP_MAX - (best >> 9) as u8;
+    if max < RRIP_MAX {
+        // Every way is valid and at most `max`, so adding the age to the
+        // counter field never carries out of it.
+        let age = ((RRIP_MAX - max) as u64) << WORD_RRIP_SHIFT;
+        for w in set.words.iter_mut() {
+            *w += age;
+        }
+    }
+    (best & 0xff) as usize
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block::{pack_word, BlockKind, INVALID_WORD};
+    use vm_types::{Asid, PageSize, SplitMix64};
+
+    const PRESSURE: ReplacementCtx = ReplacementCtx { l2_tlb_mpki: 10.0, l2_cache_mpki: 0.0 };
+    const CALM: ReplacementCtx = ReplacementCtx { l2_tlb_mpki: 0.0, l2_cache_mpki: 0.0 };
+
+    /// The multi-pass victim selection the one-pass scans replaced: a
+    /// first-invalid scan, a max scan, a position scan and (TLB-aware
+    /// SRRIP) a second-attempt scan. The differential tests below hold the
+    /// one-pass code to it.
+    fn reference_victim(policy: &Policy, set: &mut ReplSet<'_>, ctx: &ReplacementCtx) -> usize {
+        fn scan(set: &mut ReplSet<'_>) -> usize {
+            if let Some(way) = set.words.iter().position(|&w| !word_is_valid(w)) {
+                return way;
+            }
+            let max = set.words.iter().map(|&w| word_rrip(w)).max().expect("cache sets are never empty");
+            let victim = set.words.iter().position(|&w| word_rrip(w) >= max).expect("max exists");
+            if max < RRIP_MAX {
+                let age = RRIP_MAX - max;
+                for w in set.words.iter_mut() {
+                    *w = word_with_rrip(*w, word_rrip(*w) + age);
+                }
+            }
+            victim
+        }
+        match policy {
             Policy::Lru { .. } => {
                 if let Some(way) = set.words.iter().position(|&w| !word_is_valid(w)) {
                     return way;
@@ -170,14 +275,10 @@ impl Policy {
                 }
                 best
             }
-            Policy::Srrip => scan_victim(set),
+            Policy::Srrip => scan(set),
             Policy::TlbAwareSrrip => {
-                let way = scan_victim(set);
+                let way = scan(set);
                 if word_is_translation(set.words[way]) && ctx.tlb_pressure_high() {
-                    // One more attempt (Listing 1 line 23): prefer any
-                    // non-TLB block that has also aged to RRIP_MAX. If none
-                    // exists, the TLB block is evicted (and dropped, not
-                    // written back).
                     let alt = set.words.iter().position(|&w| {
                         word_is_valid(w) && !word_is_translation(w) && word_rrip(w) >= RRIP_MAX
                     });
@@ -189,40 +290,58 @@ impl Policy {
             }
         }
     }
-}
 
-/// Shared SRRIP victim scan: the first invalid way, else the first way
-/// whose RRPV is [`RRIP_MAX`], aging the whole set until one exists. The
-/// iterate-and-age loop is folded into a closed form — age everyone by
-/// `RRIP_MAX - max(rrip)` in one pass; the first way that *was* at the
-/// maximum is exactly the way the stepwise loop would have found.
-#[inline]
-fn scan_victim(set: &mut ReplSet<'_>) -> usize {
-    if let Some(way) = set.words.iter().position(|&w| !word_is_valid(w)) {
-        return way;
+    /// A random set: each way invalid with probability `p_invalid`, else a
+    /// data / TLB / nested-TLB block with a random RRPV; LRU stamps drawn
+    /// from a narrow range so equal stamps are common, and invalid ways
+    /// keep stale nonzero stamps (as `Cache::invalidate_data` leaves them).
+    fn random_set(rng: &mut SplitMix64, ways: usize, p_invalid: f64) -> TestSet {
+        let kinds = [BlockKind::Data, BlockKind::Tlb, BlockKind::NestedTlb];
+        let mut set = TestSet::new(&vec![BlockKind::Data; ways]);
+        for way in 0..ways {
+            let kind = kinds[rng.next_below(3) as usize];
+            let word = pack_word(rng.next_below(1 << 20), kind, Asid::new(1), PageSize::Size4K);
+            set.words[way] = if rng.chance(p_invalid) {
+                INVALID_WORD
+            } else {
+                word_with_rrip(word, rng.next_below(4) as u8)
+            };
+            set.lru[way] = rng.next_below(8);
+        }
+        set
     }
-    let max = set.words.iter().map(|&w| word_rrip(w)).max().expect("cache sets are never empty");
-    let victim = set.words.iter().position(|&w| word_rrip(w) >= max).expect("max exists");
-    if max < RRIP_MAX {
-        // All ways age together until the closest one reaches RRIP_MAX.
-        // No saturation is needed: every counter is ≤ max, so counter +
-        // (RRIP_MAX - max) ≤ RRIP_MAX.
-        let age = RRIP_MAX - max;
-        for w in set.words.iter_mut() {
-            *w = word_with_rrip(*w, word_rrip(*w) + age);
+
+    /// Drives `policy` and the reference through the same random sets:
+    /// victims and every post-selection word (aging included) must agree.
+    fn differential(policy: Policy, ctx: &ReplacementCtx, seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        for case in 0..20_000 {
+            let ways = [1, 2, 4, 8, 12, 16, 256][rng.next_below(7) as usize];
+            let p_invalid = [0.0, 0.05, 0.5][rng.next_below(3) as usize];
+            let mut a = random_set(&mut rng, ways, p_invalid);
+            let mut b = TestSet { words: a.words.clone(), lru: a.lru.clone() };
+            let got = policy.clone().choose_victim(&mut a.view(), ctx);
+            let want = reference_victim(&policy, &mut b.view(), ctx);
+            assert_eq!(got, want, "{} case {case}: victim diverged", policy.name());
+            assert_eq!(a.words, b.words, "{} case {case}: aging diverged", policy.name());
         }
     }
-    victim
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::block::{pack_word, BlockKind, INVALID_WORD};
-    use vm_types::{Asid, PageSize};
+    #[test]
+    fn one_pass_srrip_matches_reference() {
+        differential(Policy::srrip(), &CALM, 0x5121);
+    }
 
-    const PRESSURE: ReplacementCtx = ReplacementCtx { l2_tlb_mpki: 10.0, l2_cache_mpki: 0.0 };
-    const CALM: ReplacementCtx = ReplacementCtx { l2_tlb_mpki: 0.0, l2_cache_mpki: 0.0 };
+    #[test]
+    fn one_pass_tlb_aware_srrip_matches_reference_at_both_pressures() {
+        differential(Policy::tlb_aware_srrip(), &CALM, 0x7a1);
+        differential(Policy::tlb_aware_srrip(), &PRESSURE, 0x7a2);
+    }
+
+    #[test]
+    fn lru_fold_matches_reference() {
+        differential(Policy::lru(), &CALM, 0x11);
+    }
 
     /// A free-standing set for driving policies directly in tests.
     struct TestSet {

@@ -959,10 +959,13 @@ impl System {
         self.stats.l2_tlb_block_reuse = self.hier.l2().stats.tlb_reuse;
         // Eviction-time reuse alone under-counts the *hottest* TLB blocks:
         // they stay resident for the whole (short) measured window and are
-        // never evicted, so snapshot the resident population too.
-        for b in self.hier.l2().iter_valid() {
-            if b.kind.is_translation() {
-                self.stats.l2_tlb_block_reuse.record(b.reuse as u64);
+        // never evicted, so snapshot the resident population too (none
+        // exists on configs that never insert TLB blocks).
+        if self.hier.l2().translation_block_count() > 0 {
+            for b in self.hier.l2().iter_valid() {
+                if b.kind.is_translation() {
+                    self.stats.l2_tlb_block_reuse.record(b.reuse as u64);
+                }
             }
         }
         if let Some(p) = &self.pom {

@@ -194,6 +194,11 @@ pub struct SetAssocTlb {
     /// L2 TLB in ~36KB of dense state — [`TlbEntry`] values exist only at
     /// the API boundary.
     payloads: Vec<u64>,
+    /// Index of the way the last probe hit, tried before the set scan.
+    /// A pure shortcut: every stored key sits in its own set at most once
+    /// (fills refresh in place), so a full-key match here is exactly the
+    /// way the scan would find. Not checkpointed.
+    mru: usize,
     tick: u64,
     /// Statistics.
     pub stats: TlbStats,
@@ -221,6 +226,7 @@ impl SetAssocTlb {
             stamps: vec![0; cfg.entries],
             payloads: vec![0; cfg.entries],
             cfg,
+            mru: 0,
             tick: 0,
             stats: TlbStats::default(),
         }
@@ -248,8 +254,33 @@ impl SetAssocTlb {
         self.keys[start..start + self.cfg.ways].iter().position(|&k| k == key).map(|w| start + w)
     }
 
-    /// Looks up a translation, updating LRU and statistics.
+    /// Looks up a translation, updating LRU and statistics. The way the
+    /// previous probe hit is tried first (the I-TLB hits the same code
+    /// page on almost every reference); otherwise the set is scanned.
+    #[inline]
     pub fn probe(&mut self, vpn: u64, asid: Asid, size: PageSize) -> Option<TlbEntry> {
+        self.tick += 1;
+        let key = pack_key(vpn, asid, size);
+        let found =
+            if self.keys[self.mru] == key { Some(self.mru) } else { self.find(self.set_start(vpn), key) };
+        match found {
+            Some(i) => {
+                self.mru = i;
+                self.stamps[i] = self.tick;
+                self.stats.hits += 1;
+                Some(TlbEntry::unpack(key, self.payloads[i]))
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// The scan-only probe the MRU-first [`SetAssocTlb::probe`] replaced,
+    /// kept as the differential tests' reference.
+    #[cfg(test)]
+    fn probe_scan(&mut self, vpn: u64, asid: Asid, size: PageSize) -> Option<TlbEntry> {
         self.tick += 1;
         let start = self.set_start(vpn);
         let key = pack_key(vpn, asid, size);
@@ -273,6 +304,7 @@ impl SetAssocTlb {
 
     /// Inserts an entry; returns the entry displaced, if a valid one was.
     /// Re-filling an already-present translation refreshes it in place.
+    #[inline]
     pub fn fill(&mut self, mut entry: TlbEntry) -> Option<TlbEntry> {
         self.stats.fills += 1;
         self.tick += 1;
@@ -540,6 +572,64 @@ mod tests {
         t.save_state(&mut words);
         let mut u = tlb(32, 4);
         assert!(u.restore_state(&words).is_err());
+    }
+
+    /// Everything observable about a TLB: its checkpoint words (clock,
+    /// keys, payloads, LRU stamps) and its statistics.
+    fn observe(t: &SetAssocTlb) -> (Vec<u64>, [u64; 5]) {
+        let mut words = Vec::new();
+        t.save_state(&mut words);
+        let s = t.stats;
+        (words, [s.hits, s.misses, s.fills, s.evictions, s.invalidations])
+    }
+
+    #[test]
+    fn mru_first_probe_matches_scan_only_reference() {
+        for (entries, ways, seed) in [(64, 4, 1u64), (16, 16, 2), (1536, 12, 3), (8, 1, 4)] {
+            let mut fast = tlb(entries, ways);
+            let mut scan = tlb(entries, ways);
+            let mut rng = vm_types::SplitMix64::new(seed);
+            let mut snapshot = Vec::new();
+            fast.save_state(&mut snapshot);
+            let mut last = (0u64, Asid::new(1), PageSize::Size4K);
+            for op in 0..40_000 {
+                // Half the operations revisit the previous translation, the
+                // I-TLB's pattern; the rest spread over a few sets' worth
+                // of pages, two ASIDs and both page sizes.
+                if !rng.chance(0.5) {
+                    let size = if rng.chance(0.2) { PageSize::Size2M } else { PageSize::Size4K };
+                    last =
+                        (rng.next_below(3 * entries as u64), Asid::new(1 + rng.next_below(2) as u16), size);
+                }
+                let (vpn, asid, size) = last;
+                match rng.next_below(100) {
+                    0..=59 => assert_eq!(
+                        fast.probe(vpn, asid, size),
+                        scan.probe_scan(vpn, asid, size),
+                        "probe {op}"
+                    ),
+                    60..=89 => {
+                        let e = TlbEntry::with_counters(vpn, asid, size, rng.next_below(1 << 20), 1, 2);
+                        assert_eq!(fast.fill(e), scan.fill(e), "fill victim {op}");
+                    }
+                    90..=95 => assert_eq!(fast.invalidate(vpn, asid, size), scan.invalidate(vpn, asid, size)),
+                    96 => assert_eq!(fast.invalidate_asid(asid), scan.invalidate_asid(asid)),
+                    97 => assert_eq!(fast.invalidate_all(), scan.invalidate_all()),
+                    98 => {
+                        snapshot.clear();
+                        fast.save_state(&mut snapshot);
+                    }
+                    _ => {
+                        // Restoring an older state leaves the MRU hint
+                        // pointing at whatever that way now holds.
+                        fast.restore_state(&snapshot).expect("same geometry");
+                        scan.restore_state(&snapshot).expect("same geometry");
+                    }
+                }
+                assert_eq!(observe(&fast), observe(&scan), "state diverged after op {op}");
+            }
+            assert!(fast.stats.hits > 1_000, "the sequence must exercise hits");
+        }
     }
 
     #[test]
